@@ -27,7 +27,12 @@ from mpmath import mp, mpf
 
 from .errors import StabilityError
 from .fitting import HarmonicExpr, known_mean, known_central_moment
-from .numeric import MAX_PRECISION, constants, harmonic_asymptotic
+from .numeric import (
+    MAX_PRECISION,
+    check_precision,
+    guarded_constants,
+    harmonic_asymptotic,
+)
 
 LIMIT_POINTS = (10**6, 10**7, 10**8)
 LEAD_POINTS = (10**30, 10**35, 10**40)
@@ -40,11 +45,6 @@ class AsymptoticValue:
     value: mpf
     n_used: tuple[int, ...]
     stability: int  # digits agreeing across the evaluation points
-
-
-def _check_precision(precision: int) -> None:
-    if not 30 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must lie in [30, {MAX_PRECISION}]")
 
 
 def _limit_value(terms, n: int, consts) -> mpf:
@@ -91,11 +91,11 @@ def scaled_moment_limit(
     """
     if r < 2:
         raise ValueError("scaled moments are defined for r >= 2")
-    _check_precision(precision)
+    check_precision(precision)
     if len(points) < 2:
         raise ValueError("need at least two evaluation points")
     with mp.workdps(precision + 15):
-        consts = constants(min(precision + 10, MAX_PRECISION))
+        consts = guarded_constants(precision, 10)
         tops_r = expr_r.top_terms()
         tops_2 = expr_2.top_terms()
         values = []
@@ -131,11 +131,11 @@ def leading_coefficient(
     large enough that subleading ln n terms lie beyond ``min_stability``
     digits; instability is raised, not returned.
     """
-    _check_precision(precision)
+    check_precision(precision)
     if expr.is_zero():
         raise ValueError("leading coefficient of the zero expression")
     with mp.workdps(precision + 15):
-        consts = constants(min(precision + 10, MAX_PRECISION))
+        consts = guarded_constants(precision, 10)
         terms = expr.terms
         deg = expr.max_n_power()
         values = [_limit_value(terms, n, consts) / mpf(n) ** deg for n in points]
@@ -153,29 +153,28 @@ def evaluate_asymptotic(
 ) -> mpf:
     """Evaluate a closed form at (possibly huge) n via Euler-Maclaurin
     harmonic values rather than exact rationals."""
-    _check_precision(precision)
+    check_precision(precision)
     if n < 1:
         raise ValueError("n must be >= 1")
     with mp.workdps(precision + 10):
         nn = mpf(n)
-        h_cache: dict[int, mpf] = {}
+        h_precision = min(precision + 5, MAX_PRECISION)
+        h = {
+            m: harmonic_asymptotic(m, n, terms=terms, precision=h_precision)
+            for m in {m for mono in expr.terms for m, _ in mono.h_powers}
+        }
         total = mpf(0)
         for mono, coeff in expr.terms.items():
             val = mpf(coeff.numerator) / mpf(coeff.denominator) * nn**mono.n_power
             for m, e in mono.h_powers:
-                hm = h_cache.get(m)
-                if hm is None:
-                    hm = h_cache[m] = harmonic_asymptotic(
-                        m, n, terms=terms, precision=min(precision + 5, MAX_PRECISION)
-                    )
-                val *= hm**e
+                val *= h[m] ** e
             total += val
         return +total
 
 
 def mean_over_nlogn(n: int, precision: int = 50) -> mpf:
     """Diagnostic ratio c_n/(n ln n); approaches 2 like O(1/ln n)."""
-    _check_precision(precision)
+    check_precision(precision)
     with mp.workdps(precision + 10):
         cn = evaluate_asymptotic(known_mean(), n, precision)
         return +(cn / (mpf(n) * mp.log(n)))
@@ -183,7 +182,7 @@ def mean_over_nlogn(n: int, precision: int = 50) -> mpf:
 
 def coefficient_of_variation(n: int, precision: int = 50) -> mpf:
     """sqrt(m_2(n))/c_n; small and shrinking like O(1/ln n)."""
-    _check_precision(precision)
+    check_precision(precision)
     with mp.workdps(precision + 10):
         cn = evaluate_asymptotic(known_mean(), n, precision)
         var = evaluate_asymptotic(known_central_moment(2), n, precision)
@@ -198,11 +197,11 @@ def mean_asymptotic_check(precision: int = 50) -> mpf:
     checked to approach 2 n ln n numerically: at n = 10^8 the ratio
     (c_n - (2 gamma - 4) n)/(n ln n) must be within 1e-5 of 2.
     """
-    _check_precision(precision)
+    check_precision(precision)
     with mp.workdps(precision + 10):
         n = 10**8
         cn = evaluate_asymptotic(known_mean(), n, precision)
-        gamma = constants(min(precision + 5, MAX_PRECISION)).gamma
+        gamma = guarded_constants(precision, 5).gamma
         ratio = (cn - (2 * gamma - 4) * n) / (mpf(n) * mp.log(n))
         if abs(ratio - 2) > mpf("1e-5"):
             raise StabilityError(

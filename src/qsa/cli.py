@@ -4,9 +4,11 @@ One subcommand per analysis surface, machine-readable output only (CSV or
 JSON, selected with --format where both are defined), deterministic for a
 fixed flag set and seed.  ``--out FILE`` redirects output to a file.
 
-Config precedence is flags > environment (QSA_NMAX, QSA_M, QSA_PRECISION,
-QSA_SURROGATE) > built-in defaults.  Exit codes: 2 for usage errors, 1 for
-computation failures (guess exhaustion, stability-gate trips), 0 otherwise.
+Config precedence is flags > environment (QSA_NMAX, QSA_M, QSA_NMAX_GUESS,
+QSA_PRECISION, QSA_SURROGATE) > built-in defaults.  Every ``--precision``
+accepts 30..100 significant digits (``numeric.PRECISION_RANGE``).  Exit
+codes: 2 for usage errors, 1 for computation failures (guess exhaustion,
+stability-gate trips), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -16,16 +18,15 @@ import json
 from fractions import Fraction
 
 import click
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 
 from .asymptotics import scaled_moment_limit
 from .distribution import export_density, tail_probability
 from .errors import QsaError
-from .fitting import fit as fit_template
-from .fitting import guess_moment, template
+from .fitting import guess_moment
 from .moments import central_moment, moment_table, raw_moment
+from .numeric import PRECISION_RANGE
 from .pgf import pgf as exact_pgf
-from .serialize import high_real_str
 from .simulate import (
     EXHAUSTIVE_LIMIT,
     SimConfig,
@@ -93,6 +94,18 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def high_real_str(x, digits: int) -> str:
+    """Deterministic decimal rendering with ``digits`` significant digits."""
+    with mp.workdps(digits + 5):
+        return nstr(x, digits, strip_zeros=False)
+
+
+_precision_option = click.option(
+    "--precision", type=click.IntRange(*PRECISION_RANGE), default=50,
+    show_default=True, envvar="QSA_PRECISION",
+)
+
+
 @click.group()
 def cli():
     """Exact analysis of Quicksort's comparison count."""
@@ -103,8 +116,14 @@ def cli():
 # -----------------------------------------------------------------------
 
 
-def _dist_rows(items) -> str:
-    return "\n".join(f"{k},{p.numerator},{p.denominator}" for k, p in items)
+def _csv(rows) -> str:
+    return "\n".join(",".join(map(str, row)) for row in rows)
+
+
+def _write_dist(n: int, items, fmt: str, out) -> None:
+    # rows k,num,den over the support points of positive mass
+    rows = [[k, str(p.numerator), str(p.denominator)] for k, p in items if p]
+    _write(_csv(rows) if fmt == "csv" else _json_dumps({"n": n, "coeffs": rows}), out)
 
 
 @cli.command(name="pgf")
@@ -114,16 +133,7 @@ def _dist_rows(items) -> str:
 @_domain_errors
 def pgf_cmd(n, fmt, out):
     """Exact distribution of the comparison count (rows k,num,den)."""
-    dist = exact_pgf(n)
-    entries = [(k, p) for k, p in dist.items() if p]
-    if fmt == "csv":
-        _write(_dist_rows(entries), out)
-    else:
-        payload = {
-            "n": n,
-            "coeffs": [[k, str(p.numerator), str(p.denominator)] for k, p in entries],
-        }
-        _write(_json_dumps(payload), out)
+    _write_dist(n, exact_pgf(n).items(), fmt, out)
 
 
 @cli.command()
@@ -133,17 +143,7 @@ def pgf_cmd(n, fmt, out):
 @_domain_errors
 def oracle(n, fmt, out):
     """Exact distribution by exhaustive pivot enumeration (rows k,num,den)."""
-    dist = exhaustive_distribution(n)
-    if fmt == "csv":
-        _write(_dist_rows(dist.items()), out)
-    else:
-        payload = {
-            "n": n,
-            "coeffs": [
-                [k, str(p.numerator), str(p.denominator)] for k, p in dist.items()
-            ],
-        }
-        _write(_json_dumps(payload), out)
+    _write_dist(n, exhaustive_distribution(n).items(), fmt, out)
 
 
 # -----------------------------------------------------------------------
@@ -204,20 +204,11 @@ def moments_table(nmax, rmax, kind, order, source, fmt, out):
         for n in range(r_lo, nmax + 1):
             for r in range(r_lo, rmax + 1):
                 rows.append((n, r, exact(n, r)))
+    table = [[n, r, str(v.numerator), str(v.denominator)] for n, r, v in rows]
     if fmt == "csv":
-        _write(
-            "\n".join(f"{n},{r},{v.numerator},{v.denominator}" for n, r, v in rows),
-            out,
-        )
+        _write(_csv(table), out)
     else:
-        payload = {
-            "kind": kind,
-            "nmax": nmax,
-            "rmax": rmax,
-            "moments": [
-                [n, r, str(v.numerator), str(v.denominator)] for n, r, v in rows
-            ],
-        }
+        payload = {"kind": kind, "nmax": nmax, "rmax": rmax, "moments": table}
         _write(_json_dumps(payload), out)
 
 
@@ -230,7 +221,8 @@ def moments_table(nmax, rmax, kind, order, source, fmt, out):
 @click.option("--r", type=click.IntRange(min=1), required=True)
 @click.option("--nmax", type=click.IntRange(min=2), default=None,
               envvar="QSA_NMAX_GUESS",
-              help="Cap on generated moment data (default: as much as needed).")
+              help="Cap on generated moment data for the automatic windows "
+              "(default: as much as needed).")
 @click.option("--train", type=RANGE, default=None,
               help="Explicit training range A..B (default: automatic).")
 @click.option("--test", type=RANGE, default=None,
@@ -241,23 +233,7 @@ def guess(r, nmax, train, test, out):
     """Rediscover the closed form of a moment by undetermined coefficients."""
     if (train is None) != (test is None):
         raise click.UsageError("--train and --test must be given together")
-    if train is not None:
-        kind = "raw" if r == 1 else "central"
-        top = max(train[1], test[1])
-        data = moment_table(top, r, kind=kind).values
-        report = None
-        for d in range(1, r + 1):
-            candidate = fit_template(data, template(r, d, d), train, test)
-            candidate.degree = d
-            if candidate.status == "verified":
-                report = candidate
-                break
-        if report is None:
-            raise click.ClickException(
-                f"no verified fit for r={r} on train {train[0]}..{train[1]}"
-            )
-    else:
-        report = guess_moment(r, n_max_data=nmax)
+    report = guess_moment(r, n_max_data=nmax, train=train, test=test)
     payload = {
         "r": r,
         "status": report.status,
@@ -272,8 +248,7 @@ def guess(r, nmax, train, test, out):
 @cli.command()
 @click.option("--r", "r_range", type=RANGE, required=True,
               help="Scaled moment order(s), e.g. 3 or 3..8.")
-@click.option("--precision", type=click.IntRange(30, 100), default=50,
-              show_default=True, envvar="QSA_PRECISION")
+@_precision_option
 @_out_option
 @_domain_errors
 def limits(r_range, precision, out):
@@ -310,8 +285,7 @@ def limits(r_range, precision, out):
 @cli.command()
 @click.option("--n", type=click.IntRange(min=3), default=130, show_default=True)
 @click.option("--bin", "bin_width", type=str, default="0.1", show_default=True)
-@click.option("--precision", type=click.IntRange(30, 100), default=50,
-              show_default=True, envvar="QSA_PRECISION")
+@_precision_option
 @_out_option
 @_domain_errors
 def density(n, bin_width, precision, out):
@@ -336,8 +310,7 @@ def density(n, bin_width, precision, out):
 @click.option("--x", type=int, required=True, help="Comparison-count threshold.")
 @click.option("--surrogate", type=click.IntRange(min=3), default=130,
               show_default=True, envvar="QSA_SURROGATE")
-@click.option("--precision", type=click.IntRange(30, 100), default=50,
-              show_default=True, envvar="QSA_PRECISION")
+@_precision_option
 @_out_option
 @_domain_errors
 def tail(n, x, surrogate, precision, out):

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from math import factorial
 from typing import Union
 
@@ -26,7 +28,7 @@ from mpmath import mp, mpf
 
 from .errors import CrossCheckError
 from .fitting import known_central_moment, known_mean
-from .numeric import MAX_PRECISION
+from .numeric import check_precision
 from .pgf import scaled_pgf
 
 DEFAULT_SURROGATE = 130
@@ -72,14 +74,6 @@ class DensityBin:
     mass: Fraction
 
 
-def _check_precision(precision: int) -> None:
-    if not 30 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must lie in [30, {MAX_PRECISION}]")
-
-
-_scale_cache: dict[tuple[int, int], ScaledDistribution] = {}
-
-
 def scale(n: int, precision: int = 50) -> ScaledDistribution:
     """Exact scaled distribution Z_n = (X_n - c_n)/sqrt(m_2(n)).
 
@@ -91,11 +85,12 @@ def scale(n: int, precision: int = 50) -> ScaledDistribution:
     """
     if n < 3:
         raise ValueError("scaling requires n >= 3 (zero variance below)")
-    _check_precision(precision)
-    key = (n, precision)
-    hit = _scale_cache.get(key)
-    if hit is not None:
-        return hit
+    check_precision(precision)
+    return _scale(n, precision)
+
+
+@cache
+def _scale(n: int, precision: int) -> ScaledDistribution:
     offset, coeffs = scaled_pgf(n)
     nf = factorial(n)
     mean = known_mean().evaluate(n)
@@ -111,17 +106,12 @@ def scale(n: int, precision: int = 50) -> ScaledDistribution:
         raise CrossCheckError(f"PGF variance at n={n} disagrees with closed form")
 
     masses = tuple(Fraction(c, nf) for c in coeffs)
-    cum_ints = []
-    acc = 0
-    for c in coeffs:
-        acc += c
-        cum_ints.append(acc)
-    cumulative = tuple(Fraction(c, nf) for c in cum_ints)
+    cumulative = tuple(Fraction(c, nf) for c in accumulate(coeffs))
     with mp.workdps(precision + 10):
         sigma = mp.sqrt(mpf(variance.numerator) / mpf(variance.denominator))
         mean_mp = mpf(a) / mpf(b)
         zs = tuple((mpf(offset + i) - mean_mp) / sigma for i in range(len(coeffs)))
-    dist = ScaledDistribution(
+    return ScaledDistribution(
         n=n,
         mean=mean,
         variance=variance,
@@ -131,20 +121,6 @@ def scale(n: int, precision: int = 50) -> ScaledDistribution:
         cumulative=cumulative,
         zs=zs,
     )
-    _scale_cache[key] = dist
-    return dist
-
-
-def _cdf_interpolated_exact(dist: ScaledDistribution, k_cut: Fraction) -> Fraction:
-    """Piecewise-linear CDF between consecutive support atoms, exact."""
-    lo = dist.min_k
-    if k_cut >= dist.max_k:
-        return Fraction(1)
-    idx = int(k_cut) - lo  # support is a contiguous integer range
-    frac = k_cut - (idx + lo)
-    left = dist.cumulative[idx]
-    right = dist.cumulative[idx + 1]
-    return left + (right - left) * frac
 
 
 def tail_probability(
@@ -165,7 +141,7 @@ def tail_probability(
     """
     if n_large < 3:
         raise ValueError("tail queries require n_large >= 3 (zero variance below)")
-    _check_precision(precision)
+    check_precision(precision)
     threshold = Fraction(threshold)
     sur = scale(surrogate_n, precision)
     mean_t = known_mean().evaluate(n_large)
@@ -178,33 +154,26 @@ def tail_probability(
         ) / sigma_t
         if n_large == surrogate_n:
             # no rescaling: work in exact comparison-count space
-            k_cut_exact: Fraction | None = threshold
+            k_cut = threshold
         else:
-            k_cut_exact = None
             mean_s = mpf(sur.mean.numerator) / mpf(sur.mean.denominator)
             k_cut = mean_s + z_cut * sur.sigma
-
-        if k_cut_exact is not None:
-            if k_cut_exact < sur.min_k:
-                return TailEstimate(mpf(1), +z_cut, True, Fraction(1))
-            if k_cut_exact >= sur.max_k:
-                sat = k_cut_exact > sur.max_k
-                return TailEstimate(mpf(0), +z_cut, sat, Fraction(0))
-            tail = 1 - _cdf_interpolated_exact(sur, k_cut_exact)
-            prob = mpf(tail.numerator) / mpf(tail.denominator)
-            return TailEstimate(+prob, +z_cut, False, tail)
 
         if k_cut < sur.min_k:
             return TailEstimate(mpf(1), +z_cut, True, Fraction(1))
         if k_cut >= sur.max_k:
             return TailEstimate(mpf(0), +z_cut, k_cut > sur.max_k, Fraction(0))
-        idx = int(mp.floor(k_cut)) - sur.min_k
-        idx = max(0, min(idx, len(sur.masses) - 2))
+        # the cut is positive, so int() is floor; the support is contiguous
+        idx = int(k_cut) - sur.min_k
         left = sur.cumulative[idx]
         right = sur.cumulative[idx + 1]
+        frac = k_cut - (sur.min_k + idx)
+        if isinstance(k_cut, Fraction):
+            tail = 1 - (left + (right - left) * frac)
+            prob = mpf(tail.numerator) / mpf(tail.denominator)
+            return TailEstimate(+prob, +z_cut, False, tail)
         left_mp = mpf(left.numerator) / mpf(left.denominator)
         right_mp = mpf(right.numerator) / mpf(right.denominator)
-        frac = k_cut - (sur.min_k + idx)
         prob = 1 - (left_mp + (right_mp - left_mp) * frac)
         return TailEstimate(+prob, +z_cut, False, None)
 
@@ -217,7 +186,6 @@ def export_density(
     Bins start at the lowest atom; the final bin absorbs the top edge.
     Masses are exact Fractions and sum to exactly 1.
     """
-    _check_precision(precision)
     dist = scale(n, precision)
     with mp.workdps(precision + 10):
         width = mpf(str(bin_width)) if not isinstance(bin_width, Fraction) else mpf(

@@ -32,9 +32,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
 from .moments import moment_table
@@ -74,12 +75,6 @@ class Monomial:
     def sort_key(self, max_m: int) -> tuple[int, ...]:
         exps = dict(self.h_powers)
         return (self.n_power, *(exps.get(m, 0) for m in range(1, max_m + 1)))
-
-    def evaluate(self, n: int) -> Fraction:
-        val = Fraction(n) ** self.n_power
-        for m, e in self.h_powers:
-            val *= harmonic(m, n) ** e
-        return val
 
     def __str__(self) -> str:
         parts = []
@@ -398,6 +393,8 @@ def _fresh_prime(rng: random.Random, used: set[int]) -> int:
 def _matrix_mod_p(
     monomials: Sequence[Monomial], points: Sequence[int], p: int
 ) -> np.ndarray:
+    import numpy as np  # only fits need numpy; keep it out of other imports
+
     n_top = max(points)
     inv = [0] * (n_top + 1)
     for i in range(1, n_top + 1):
@@ -425,7 +422,7 @@ def _matrix_mod_p(
     return np.stack(cols, axis=1)
 
 
-def _rhs_mod_p(data, points: Sequence[int], p: int) -> np.ndarray:
+def _rhs_mod_p(data, points: Sequence[int], p: int) -> list[int]:
     vals = []
     for n in points:
         q = data[n]
@@ -433,16 +430,19 @@ def _rhs_mod_p(data, points: Sequence[int], p: int) -> np.ndarray:
         if den == 0:
             raise FitSolverError(f"prime {p} divides a data denominator at n={n}")
         vals.append(q.numerator % p * pow(den, p - 2, p) % p)
-    return np.asarray(vals, dtype=np.int64)
+    return vals
 
 
-def _solve_mod_p(A: np.ndarray, b: np.ndarray, p: int):
+def _solve_mod_p(A: np.ndarray, b: Sequence[int], p: int):
     """Gaussian elimination of [A|b] over GF(p).
 
     Returns ("unique", x), ("inconsistent", None) or ("deficient", None).
     """
+    import numpy as np
+
     rows, cols = A.shape
-    M = np.concatenate([A, b.reshape(-1, 1)], axis=1) % p
+    b_col = np.asarray(b, dtype=np.int64).reshape(-1, 1)
+    M = np.concatenate([A, b_col], axis=1) % p
     row = 0
     pivots = 0
     for col in range(cols):
@@ -596,6 +596,8 @@ def fit(
 # Escalating guesser
 # -----------------------------------------------------------------------
 
+# Not functools.cache: the longest table built so far answers every shorter
+# request, so one growing entry per order is kept.
 _data_cache: dict[tuple[int, str], tuple[int, Mapping[int, Fraction]]] = {}
 _data_lock = threading.Lock()
 
@@ -621,6 +623,8 @@ def guess_moment(
     test_points: int = DEFAULT_TEST_POINTS,
     test_floor: int = DEFAULT_TEST_FLOOR,
     data: Mapping[int, Fraction] | None = None,
+    train: RangeLike | None = None,
+    test: RangeLike | None = None,
 ) -> FitReport:
     """Escalate template bounds d = 1..r until a fit verifies.
 
@@ -628,27 +632,36 @@ def guess_moment(
     central moments about the mean.  Moment data is generated on demand via
     the truncated-series route (and cached); ``n_max_data`` caps how far it
     may be generated, raising :class:`InsufficientDataError` when the cap
-    makes a template unfittable.
+    makes a template unfittable.  By default each template gets its own
+    windows: ``slack`` more training points than monomials, then at least
+    ``test_points`` test points and at least through ``test_floor``.
+    ``train`` and ``test`` (given together) fix both windows for every
+    template instead, and ``n_max_data`` is then unused.
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
+    if (train is None) != (test is None):
+        raise ValueError("train and test windows must be given together")
     last_size = 0
     for d in range(1, r + 1):
         monos = template(r, d, d)
         last_size = len(monos)
-        train_end = len(monos) + slack
-        test_end = max(test_floor, train_end + test_points)
-        if n_max_data is not None:
-            if n_max_data < train_end + 1:
-                raise InsufficientDataError(
-                    f"template d={d} needs data through n={train_end + 1}, "
-                    f"but n_max_data={n_max_data}"
-                )
-            test_end = min(test_end, n_max_data)
-        table = data if data is not None else _moment_data(r, test_end)
-        report = fit(
-            table, monos, (1, train_end), (train_end + 1, test_end), slack=slack
-        )
+        if train is not None:
+            windows = (train, test)
+            top = max(_as_points(train) + _as_points(test))
+        else:
+            train_end = len(monos) + slack
+            top = max(test_floor, train_end + test_points)
+            if n_max_data is not None:
+                if n_max_data < train_end + 1:
+                    raise InsufficientDataError(
+                        f"template d={d} needs data through n={train_end + 1}, "
+                        f"but n_max_data={n_max_data}"
+                    )
+                top = min(top, n_max_data)
+            windows = ((1, train_end), (train_end + 1, top))
+        table = data if data is not None else _moment_data(r, top)
+        report = fit(table, monos, *windows, slack=slack)
         report.degree = d
         if report.status == VERIFIED:
             return report

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial
 
 from ._intops import big, big_gcd
@@ -59,67 +59,54 @@ class MomentTable:
 class SeriesCache:
     """Bottom-up table of truncated expansions of g_n around t = 1.
 
-    Rows hold the integer vectors n! * [w^r] g_n(1+w) for r = 0..order.
+    Rows hold the integer vectors n! * [w^r] g_n(1+w) for r = 0..order, as
+    immutable tuples.
     """
 
-    def __init__(self, order: int = DEFAULT_ORDER, fold: bool = True):
+    def __init__(self, order: int = DEFAULT_ORDER):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self._fold = fold
-        self._rows: list[list] = []
+        self._rows: list[tuple] = []
         self._lock = threading.RLock()
 
-    def _conv(self, a, b):
-        out = [big(0)] * (self.order + 1)
-        for i, ai in enumerate(a):
+    def _mul_add(self, acc: list, a, b, weight: int = 1) -> list:
+        """acc += weight * a * b over the kept orders 0..order; returns acc."""
+        M = self.order
+        for i in range(M + 1):
+            ai = a[i]
             if not ai:
                 continue
-            for j in range(self.order + 1 - i):
-                out[i + j] += ai * b[j]
-        return out
+            wai = weight * ai if weight != 1 else ai
+            for j in range(M + 1 - i):
+                acc[i + j] += wai * b[j]
+        return acc
 
     def _build_next(self) -> None:
         n = len(self._rows)
         M = self.order
         if n <= 1:
-            self._rows.append([big(1)] + [big(0)] * M)
+            self._rows.append((big(1),) + (big(0),) * M)
             return
         rows = self._rows
         acc = [big(0)] * (M + 1)
-        half = n // 2
-        for k in range(1, half + 1):
-            w = 2 * comb(n - 1, k - 1)
-            a, b = rows[k - 1], rows[n - k]
-            for i in range(M + 1):
-                ai = a[i]
-                if not ai:
-                    continue
-                wai = w * ai
-                for j in range(M + 1 - i):
-                    acc[i + j] += wai * b[j]
-        if n % 2:
-            k = (n + 1) // 2
-            w = comb(n - 1, k - 1)
-            a = rows[k - 1]
-            for i in range(M + 1):
-                ai = a[i]
-                if not ai:
-                    continue
-                wai = w * ai
-                for j in range(M + 1 - i):
-                    acc[i + j] += wai * a[j]
+        # pivots k and n+1-k give the same product; the middle one of an
+        # odd n stands alone
+        for k in range(1, (n + 1) // 2 + 1):
+            w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
+            self._mul_add(acc, rows[k - 1], rows[n - k], w)
         binom_row = [big(comb(n - 1, j)) for j in range(M + 1)]
-        row = self._conv(acc, binom_row)
-        assert row[0] == factorial(n)  # n! * g_n(1)
-        self._rows.append(row)
+        row = self._mul_add([big(0)] * (M + 1), acc, binom_row)
+        if row[0] != factorial(n):  # n! * g_n(1)
+            raise CrossCheckError(f"series row at n={n} does not total n!")
+        self._rows.append(tuple(row))
 
     def ensure(self, n: int) -> None:
         with self._lock:
             while len(self._rows) <= n:
                 self._build_next()
 
-    def row(self, n: int) -> list:
+    def row(self, n: int) -> tuple:
         if n < 0:
             raise ValueError("n must be non-negative")
         self.ensure(n)
@@ -135,16 +122,13 @@ class SeriesCache:
         )
 
 
-_series_caches: dict[int, SeriesCache] = {}
-_series_lock = threading.Lock()
+_shared_series_caches = cache(SeriesCache)
 
 
 def series_cache(order: int = DEFAULT_ORDER) -> SeriesCache:
-    with _series_lock:
-        cache = _series_caches.get(order)
-        if cache is None:
-            cache = _series_caches[order] = SeriesCache(order)
-        return cache
+    """The shared table of one truncation order; ``series_cache()`` and
+    ``series_cache(10)`` are the same object."""
+    return _shared_series_caches(order)
 
 
 def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
@@ -154,7 +138,7 @@ def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSe
     return [cache.series(n) for n in range(n_max + 1)]
 
 
-@lru_cache(maxsize=None)
+@cache
 def stirling2(r: int, j: int) -> int:
     """Stirling number of the second kind S(r, j)."""
     if r < 0 or j < 0:
@@ -187,24 +171,14 @@ def moments_from_factorial(series: TruncatedSeries, r: int) -> Fraction:
 # Exact route (authoritative)
 # -----------------------------------------------------------------------
 
-_raw_cache: dict[tuple[int, int], Fraction] = {}
-_raw_lock = threading.Lock()
-
-
-def raw_moment(n: int, r: int) -> Fraction:
+@cache
+def raw_moment(n: int, r: int, /) -> Fraction:
     """Exact E[X_n^r] by direct summation over the PGF coefficients."""
     if n < 0 or r < 0:
         raise ValueError("arguments must be non-negative")
-    with _raw_lock:
-        hit = _raw_cache.get((n, r))
-    if hit is not None:
-        return hit
     offset, coeffs = scaled_pgf(n)
     total = sum(c * (offset + i) ** r for i, c in enumerate(coeffs))
-    value = Fraction(total, factorial(n))
-    with _raw_lock:
-        _raw_cache[(n, r)] = value
-    return value
+    return Fraction(total, factorial(n))
 
 
 def central_moment(n: int, r: int) -> Fraction:

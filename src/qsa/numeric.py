@@ -17,6 +17,8 @@ Two families of quantities live here:
 The constants are embedded as 120-digit decimal literals and are
 re-verified by independent series evaluations in the test suite, guarding
 against transcription slips without shipping a special-function engine.
+The module also owns the precision policy: the range every evaluation
+accepts, and how those precisions ask for constants.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial, prod
 
 from mpmath import mp, mpf
@@ -38,6 +40,10 @@ Rational = Fraction
 #: guard is kept on top of the requested precision.
 MIN_PRECISION = 50
 MAX_PRECISION = 100
+
+#: Every high-precision evaluation in the package, and the command line,
+#: accepts precisions (significant decimal digits) in this inclusive range.
+PRECISION_RANGE = (30, MAX_PRECISION)
 
 _GAMMA = "0.577215664901532860606512090082402431042159335939923598805767234884867726777664670936947063291746749514631447249807082481"
 _PI = "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628034825342117067982148086513282306647"
@@ -61,8 +67,8 @@ ZETA_MAX = max(_ZETA)
 # through divide-and-conquer summation and a point cache.
 _PREFIX_LIMIT = 4000
 
+# Not functools.cache: one growing list per m answers every smaller n too.
 _prefix: dict[int, list[Fraction]] = {}
-_large: dict[tuple[int, int], Fraction] = {}
 _cache_lock = threading.Lock()
 
 
@@ -109,15 +115,13 @@ def harmonic(m: int, n: int) -> Fraction:
                 i = len(seq)
                 seq.append(seq[-1] + Fraction(1, i**m))
             return seq[n]
-    with _cache_lock:
-        hit = _large.get((m, n))
-    if hit is not None:
-        return hit
+    return _harmonic_large(m, n)
+
+
+@cache
+def _harmonic_large(m: int, n: int) -> Fraction:
     num, den = _sum_inv_pow(m, 1, n)
-    value = Fraction(int(num), int(den))
-    with _cache_lock:
-        _large[(m, n)] = value
-    return value
+    return Fraction(int(num), int(den))
 
 
 # -----------------------------------------------------------------------
@@ -125,7 +129,7 @@ def harmonic(m: int, n: int) -> Fraction:
 # -----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2)."""
     if k < 0:
@@ -171,8 +175,7 @@ def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> 
         raise ValueError("asymptotic expansion requires n >= 1")
     if terms < 0:
         raise ValueError("terms must be non-negative")
-    if not 30 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must lie in [30, {MAX_PRECISION}]")
+    check_precision(precision)
     with mp.workdps(precision + 10):
         nn = mpf(n)
         if m == 1:
@@ -228,3 +231,25 @@ def constants(precision: int = MIN_PRECISION) -> Constants:
             zeta={m: mpf(s) for m, s in _ZETA.items()},
             precision=precision,
         )
+
+
+# -----------------------------------------------------------------------
+# Precision policy
+# -----------------------------------------------------------------------
+
+
+def check_precision(precision: int) -> None:
+    """Reject a precision outside :data:`PRECISION_RANGE`."""
+    lo, hi = PRECISION_RANGE
+    if not lo <= precision <= hi:
+        raise ValueError(f"precision must lie in [{lo}, {hi}]")
+
+
+def guarded_constants(precision: int, guard: int) -> Constants:
+    """:func:`constants` at ``precision + guard`` digits, clamped into its range.
+
+    This is how every evaluation at an accepted precision asks for its
+    constants: the guard digits absorb rounding in the evaluation, and the
+    clamp keeps the request inside what the embedded literals can serve.
+    """
+    return constants(min(max(precision + guard, MIN_PRECISION), MAX_PRECISION))

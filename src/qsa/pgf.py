@@ -34,6 +34,7 @@ from math import comb, factorial
 from typing import Iterator, Mapping, Union
 
 from ._intops import big_mul
+from .errors import CrossCheckError
 
 DEFAULT_MAX_N = 130
 
@@ -76,27 +77,21 @@ class PgfCache:
     """Bottom-up memo table of exact PGFs.
 
     The table is built iteratively (no recursion) and each published
-    polynomial is immutable.  ``fold`` exploits the k <-> n+1-k symmetry of
-    the recurrence, halving the number of polynomial products; folded and
-    unfolded builds produce identical tables.
+    polynomial is an immutable tuple.  The build exploits the k <-> n+1-k
+    symmetry of the recurrence, halving the number of polynomial products.
     """
 
-    def __init__(self, max_n: int = DEFAULT_MAX_N, fold: bool = True):
+    def __init__(self, max_n: int = DEFAULT_MAX_N):
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        self._fold = fold
         self._lock = threading.RLock()
         self._offsets: list[int] = []
-        self._coeffs: list[list[int]] = []
+        self._coeffs: list[tuple[int, ...]] = []
         self._packed: list[int] = []
         self._dists: dict[int, DistPoly] = {}
         self._capacity = 0
         self._slot_bytes = 0
         self._set_capacity(max_n)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     def _set_capacity(self, cap: int) -> None:
         # A slot must hold any accumulated coefficient, all of which are
@@ -105,7 +100,7 @@ class PgfCache:
         self._slot_bytes = (factorial(cap).bit_length() + 9) // 8
         self._packed = [self._pack(c) for c in self._coeffs]
 
-    def _pack(self, coeffs: list[int]) -> int:
+    def _pack(self, coeffs: tuple[int, ...]) -> int:
         sb = self._slot_bytes
         buf = bytearray(len(coeffs) * sb)
         for i, c in enumerate(coeffs):
@@ -124,7 +119,7 @@ class PgfCache:
     def _build_next(self) -> None:
         n = len(self._coeffs)
         if n <= 1:
-            offset, coeffs = 0, [1]
+            offset, coeffs = 0, (1,)
         else:
             offs = self._offsets
             lens = [len(c) for c in self._coeffs]
@@ -139,27 +134,19 @@ class PgfCache:
             )
             slot_bits = self._slot_bytes * 8
             acc = 0
-            if self._fold:
-                for k in range(1, n // 2 + 1):
-                    w = 2 * comb(n - 1, k - 1)
-                    prod = big_mul(self._packed[k - 1], self._packed[n - k])
-                    acc += w * (prod << ((pair_off[k - 1] - base) * slot_bits))
-                if n % 2:
-                    k = (n + 1) // 2
-                    w = comb(n - 1, k - 1)
-                    prod = big_mul(self._packed[k - 1], self._packed[k - 1])
-                    acc += w * (prod << ((pair_off[k - 1] - base) * slot_bits))
-            else:
-                for k in range(1, n + 1):
-                    w = comb(n - 1, k - 1)
-                    prod = big_mul(self._packed[k - 1], self._packed[n - k])
-                    acc += w * (prod << ((pair_off[k - 1] - base) * slot_bits))
-            coeffs = self._unpack(acc, span)
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            offset = base + n - 1
+            # pivots k and n+1-k give the same product; the middle one of
+            # an odd n stands alone
+            for k in range(1, (n + 1) // 2 + 1):
+                w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
+                prod = big_mul(self._packed[k - 1], self._packed[n - k])
+                acc += w * (prod << ((pair_off[k - 1] - base) * slot_bits))
+            unpacked = self._unpack(acc, span)
+            while unpacked and unpacked[-1] == 0:
+                unpacked.pop()
+            offset, coeffs = base + n - 1, tuple(unpacked)
             # total mass n! * g_n(1) = n!; also guards slot overflow
-            assert sum(coeffs) == factorial(n)
+            if sum(coeffs) != factorial(n):
+                raise CrossCheckError(f"PGF mass at n={n} is not n!")
         self._offsets.append(offset)
         self._coeffs.append(coeffs)
         self._packed.append(self._pack(coeffs))
@@ -171,8 +158,8 @@ class PgfCache:
             while len(self._coeffs) <= n:
                 self._build_next()
 
-    def scaled(self, n: int) -> tuple[int, list[int]]:
-        """Offset and integer coefficients of n! * g_n (copy-safe view)."""
+    def scaled(self, n: int) -> tuple[int, tuple[int, ...]]:
+        """Offset and integer coefficients of n! * g_n (the stored tuple)."""
         if n < 0:
             raise ValueError("n must be non-negative")
         self._ensure(n)
@@ -209,7 +196,7 @@ def pgf(n: int) -> DistPoly:
     return _default_cache.get(n)
 
 
-def scaled_pgf(n: int) -> tuple[int, list[int]]:
+def scaled_pgf(n: int) -> tuple[int, tuple[int, ...]]:
     """Offset and coefficients of the integer polynomial n! * g_n."""
     return _default_cache.scaled(n)
 

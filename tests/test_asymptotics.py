@@ -20,7 +20,7 @@ from qsa.asymptotics import (
 )
 from qsa.errors import StabilityError
 from qsa.fitting import HarmonicExpr, known_central_moment, known_mean
-from qsa.numeric import constants
+from qsa.numeric import PRECISION_RANGE, constants
 
 
 def closed_form_limit(r: int) -> mpf:
@@ -132,6 +132,31 @@ class TestLeadingCoefficient:
     def test_zero_expression_rejected(self):
         with pytest.raises(ValueError):
             leading_coefficient(HarmonicExpr.zero())
+
+
+class TestLowestPrecision:
+    """The lowest accepted precision asks constants() for fewer digits than
+    its table holds; the request is clamped, not rejected."""
+
+    lowest = PRECISION_RANGE[0]
+
+    def test_scaled_moment_limit(self):
+        val = scaled_moment_limit(
+            3, known_central_moment(3), known_central_moment(2), self.lowest
+        )
+        with mp.workdps(60):
+            assert abs(val.value - closed_form_limit(3)) < mpf(10) ** -28
+
+    def test_leading_coefficient(self):
+        lead = leading_coefficient(known_central_moment(2), self.lowest)
+        c = constants(70)
+        with mp.workdps(70):
+            assert abs(lead - (7 - 2 * c.pi**2 / 3)) < mpf(10) ** -25
+
+    def test_mean_asymptotic_check(self):
+        val = mean_asymptotic_check(self.lowest)
+        with mp.workdps(55):
+            assert abs(val - mpf("2.88539008")) < mpf("5e-9")
 
 
 class TestFiniteSizeDiagnostics:

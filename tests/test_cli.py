@@ -1,10 +1,15 @@
 """Command-line interface: formats, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qsa
 from qsa.cli import cli
 from qsa.fitting import HarmonicExpr, known_mean
 
@@ -144,6 +149,38 @@ class TestSimulationCommands:
         assert payload["formula"] == 28
         assert payload["counts"] == [28, 28, 28]
         assert payload["all_match"] is True
+
+
+class TestPrecisionRange:
+    @pytest.mark.parametrize("precision", ["30", "100"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["limits", "--r", "3"],
+            ["density", "--n", "10", "--bin", "0.5"],
+            ["tail", "--n", "5000", "--x", "68000", "--surrogate", "20"],
+        ],
+        ids=["limits", "density", "tail"],
+    )
+    def test_both_ends_accepted(self, runner, args, precision):
+        run_ok(runner, [*args, "--precision", precision])
+
+    @pytest.mark.parametrize("precision", ["29", "101"])
+    def test_outside_is_usage_error(self, runner, precision):
+        result = runner.invoke(cli, ["limits", "--r", "3", "--precision", precision])
+        assert result.exit_code == 2
+
+
+def test_import_does_not_load_numpy():
+    # numpy is needed only by fits; a fresh interpreter must not pay for it
+    src = str(Path(qsa.__file__).resolve().parents[1])
+    code = "import sys, qsa.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestUsageErrors:

@@ -41,6 +41,10 @@ class TestScale:
         assert list(dist.cumulative) == sorted(dist.cumulative)
         assert dist.cumulative[-1] == 1
 
+    def test_default_precision_shares_the_cached_entry(self):
+        assert scale(7) is scale(7, 50)
+        assert scale(7, 40) is not scale(7)
+
     def test_small_n_rejected(self):
         # n = 2 included: the count is deterministic there, variance 0
         for n in (0, 1, 2):

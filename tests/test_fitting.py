@@ -39,7 +39,7 @@ class TestMonomial:
 
     def test_evaluate(self):
         m = Monomial(1, ((1, 1),))
-        assert m.evaluate(3) == 3 * Fraction(11, 6)
+        assert HarmonicExpr({m: 1}).evaluate(3) == 3 * Fraction(11, 6)
 
     def test_str(self):
         assert str(Monomial(0)) == "1"
@@ -210,3 +210,19 @@ class TestGuessMoment:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             guess_moment(0)
+
+    def test_fixed_windows_escalate_to_the_first_verified_degree(self):
+        report = guess_moment(2, train=(1, 30), test=(31, 80))
+        assert report.status == VERIFIED
+        assert report.degree == 2
+        assert (report.train_range, report.test_range) == ((1, 30), (31, 80))
+        assert report.expr == known_central_moment(2)
+
+    def test_fixed_windows_exhaustion_raises(self):
+        data = {n: Fraction(2) ** n for n in range(1, 100)}
+        with pytest.raises(GuessError):
+            guess_moment(1, data=data, train=(1, 20), test=(21, 99))
+
+    def test_fixed_windows_come_together(self):
+        with pytest.raises(ValueError):
+            guess_moment(1, train=(1, 9))

@@ -1,9 +1,11 @@
 """Moment extraction: exact route, truncated series route, and their agreement."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from qsa.errors import CrossCheckError
 from qsa.fitting import known_central_moment, known_mean
 from qsa.moments import (
     SeriesCache,
@@ -12,8 +14,10 @@ from qsa.moments import (
     moment_table,
     moments_from_factorial,
     raw_moment,
+    series_cache,
     stirling2,
 )
+from qsa.pgf import pgf
 
 
 class TestRawMoments:
@@ -75,11 +79,31 @@ class TestFactorialSeries:
             assert s.coeffs[0] == 1
             assert all(c >= 0 for c in s.coeffs)
 
-    def test_fold_and_unfold_agree(self):
-        folded = SeriesCache(order=6, fold=True)
-        unfolded = SeriesCache(order=6, fold=False)
+    def test_series_rows_match_exact_pgf(self):
+        # [w^r] g_n(1+w) = sum_k C(k, r) Pr(X_n = k), from the exact PGF
+        cache = SeriesCache(order=6)
         for n in range(30):
-            assert folded.row(n) == unfolded.row(n)
+            row = cache.row(n)
+            for r in range(7):
+                coeff = sum(comb(k, r) * p for k, p in pgf(n).items())
+                assert row[r] == factorial(n) * coeff, (n, r)
+
+    def test_corrupted_row_raises_cross_check_error(self):
+        cache = SeriesCache(order=4)
+        cache.ensure(6)
+        row = cache._rows[3]
+        cache._rows[3] = (row[0] + 1,) + row[1:]
+        with pytest.raises(CrossCheckError):
+            cache.row(7)
+
+    def test_rows_are_immutable(self):
+        with pytest.raises(AttributeError):
+            series_cache().row(5).append(0)
+
+    def test_shared_cache_is_one_object_per_order(self):
+        assert series_cache() is series_cache(10)
+        assert series_cache(4) is series_cache(4)
+        assert series_cache(4) is not series_cache()
 
 
 class TestStirlingTransform:

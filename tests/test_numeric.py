@@ -26,6 +26,20 @@ def brute_harmonic(m, n):
     return sum(Fraction(1, i**m) for i in range(1, n + 1))
 
 
+TRUTH_DIGITS = 150
+
+
+def fixed_point_harmonic(m, n, digits=TRUTH_DIGITS):
+    """H_m(n) as the mpf of sum floor(10^d / i^m) / 10^d with d = ``digits``.
+
+    Each floor loses less than 10^-d, so the sum lies in
+    (H_m(n) - n * 10^-d, H_m(n)].  At n = 10^6 this takes about a second,
+    where the exact reduced fraction takes minutes.
+    """
+    unit = 10**digits
+    return mpf(sum(unit // i**m for i in range(1, n + 1))) / unit
+
+
 class TestHarmonicExact:
     def test_empty_sum(self):
         assert harmonic(1, 0) == 0
@@ -100,10 +114,17 @@ class TestBernoulli:
 
 
 class TestHarmonicAsymptotic:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fixed_point_truth_brackets_exact_value(self, m):
+        n = 10**4
+        exact = harmonic(m, n)
+        with mp.workdps(TRUTH_DIGITS + 20):
+            gap = mpf(exact.numerator) / exact.denominator - fixed_point_harmonic(m, n)
+            assert 0 <= gap <= n * mpf(10) ** -TRUTH_DIGITS
+
     def test_thirty_digit_agreement_at_1e6(self):
-        exact = harmonic(1, 10**6)
         with mp.workdps(70):
-            truth = mpf(exact.numerator) / mpf(exact.denominator)
+            truth = fixed_point_harmonic(1, 10**6)
             approx = harmonic_asymptotic(1, 10**6, terms=4, precision=60)
             assert abs(approx - truth) < mpf(10) ** -30
 
@@ -130,9 +151,8 @@ class TestHarmonicAsymptotic:
         term_grid = {10**2: range(0, 7), 10**4: range(0, 6), 10**6: range(0, 5)}
         for m in (1, 2):
             for n, terms_range in term_grid.items():
-                exact = harmonic(m, n)
                 with mp.workdps(130):
-                    truth = mpf(exact.numerator) / mpf(exact.denominator)
+                    truth = fixed_point_harmonic(m, n)
                     errs = [
                         abs(harmonic_asymptotic(m, n, terms=t, precision=100) - truth)
                         for t in terms_range

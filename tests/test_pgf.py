@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qsa.errors import CrossCheckError
 from qsa.fitting import known_mean
 from qsa.pgf import PgfCache, convolve, pgf, scaled_pgf
 
@@ -84,11 +85,31 @@ class TestInvariants:
             total = sum(c * (offset + i) for i, c in enumerate(coeffs))
             assert Fraction(total, factorial(n)) == mean_expr.evaluate(n)
 
-    def test_fold_and_unfold_builds_agree(self):
-        folded = PgfCache(max_n=18, fold=True)
-        unfolded = PgfCache(max_n=18, fold=False)
+    def test_cache_matches_convolve_recurrence(self):
+        # g_n = t^(n-1)/n * sum_k g_{k-1} g_{n-k}, every product by convolve
+        cache = PgfCache(max_n=18)
+        ref = [{0: Fraction(1)}, {0: Fraction(1)}]
+        for n in range(2, 19):
+            total: dict[int, Fraction] = {}
+            for k in range(1, n + 1):
+                for deg, p in convolve(ref[k - 1], ref[n - k]).items():
+                    total[deg] = total.get(deg, Fraction(0)) + p
+            ref.append({deg + n - 1: p / n for deg, p in total.items()})
         for n in range(19):
-            assert folded.scaled(n) == unfolded.scaled(n)
+            assert dict(cache.get(n).items()) == ref[n], n
+
+    def test_corrupted_table_raises_cross_check_error(self):
+        cache = PgfCache(max_n=8)
+        cache.scaled(6)
+        cache._packed[3] += 1  # one more unit on the lowest coefficient of G_3
+        with pytest.raises(CrossCheckError):
+            cache.scaled(7)
+
+    def test_cached_coefficients_are_immutable(self):
+        with pytest.raises(AttributeError):
+            scaled_pgf(4)[1].append(0)
+        assert pgf(4).eval(1) == 1
+        assert sum(pgf(4).probs) == 1
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
