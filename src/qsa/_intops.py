@@ -13,8 +13,6 @@ import math
 try:
     import gmpy2 as _g
 
-    HAVE_GMPY2 = True
-
     def big(x):
         """Wrap an int for repeated arithmetic in the fast integer domain."""
         return _g.mpz(x)
@@ -27,8 +25,6 @@ try:
         return int(_g.gcd(_g.mpz(a), _g.mpz(b)))
 
 except ImportError:
-    HAVE_GMPY2 = False
-
     def big(x):
         return x
 

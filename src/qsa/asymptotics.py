@@ -30,6 +30,7 @@ from .fitting import HarmonicExpr, known_mean, known_central_moment
 from .numeric import (
     MAX_PRECISION,
     check_precision,
+    check_zeta_order,
     guarded_constants,
     harmonic_asymptotic,
 )
@@ -55,6 +56,7 @@ def _limit_value(terms, n: int, consts) -> mpf:
     for mono, coeff in terms.items():
         val = mpf(coeff.numerator) / mpf(coeff.denominator) * nn**mono.n_power
         for m, e in mono.h_powers:
+            check_zeta_order(m)
             val *= (log_term if m == 1 else consts.zeta[m]) ** e
         total += val
     return total

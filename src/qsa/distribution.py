@@ -28,6 +28,7 @@ from mpmath import mp, mpf
 
 from .errors import CrossCheckError
 from .fitting import known_central_moment, known_mean
+from .moments import central_moment, raw_moment
 from .numeric import check_precision
 from .pgf import scaled_pgf
 
@@ -98,18 +99,16 @@ def _scale(n: int, precision: int) -> ScaledDistribution:
 
     if sum(coeffs) != nf:
         raise CrossCheckError(f"PGF mass at n={n} does not total 1")
-    a, b = mean.numerator, mean.denominator
-    if sum(c * (offset + i) for i, c in enumerate(coeffs)) * b != a * nf:
+    if raw_moment(n, 1) != mean:
         raise CrossCheckError(f"PGF mean at n={n} disagrees with closed form")
-    scaled_sq = sum(c * ((offset + i) * b - a) ** 2 for i, c in enumerate(coeffs))
-    if Fraction(scaled_sq, nf * b * b) != variance:
+    if central_moment(n, 2) != variance:
         raise CrossCheckError(f"PGF variance at n={n} disagrees with closed form")
 
     masses = tuple(Fraction(c, nf) for c in coeffs)
     cumulative = tuple(Fraction(c, nf) for c in accumulate(coeffs))
     with mp.workdps(precision + 10):
         sigma = mp.sqrt(mpf(variance.numerator) / mpf(variance.denominator))
-        mean_mp = mpf(a) / mpf(b)
+        mean_mp = mpf(mean.numerator) / mpf(mean.denominator)
         zs = tuple((mpf(offset + i) - mean_mp) / sigma for i in range(len(coeffs)))
     return ScaledDistribution(
         n=n,

@@ -161,10 +161,13 @@ def moments_from_factorial(series: TruncatedSeries, r: int) -> Fraction:
         raise ValueError(
             f"moment order {r} exceeds series truncation order {series.order}"
         )
-    return sum(
-        (stirling2(r, j) * factorial(j) * series.coeffs[j] for j in range(r + 1)),
-        Fraction(0),
-    )
+    return Fraction(_stirling_transform(series.coeffs, r))
+
+
+def _stirling_transform(coeffs, r: int):
+    # sum_j S(r, j) * j! * coeffs[j]: exact over Fractions and over the
+    # n!-scaled integer rows alike
+    return sum(stirling2(r, j) * factorial(j) * coeffs[j] for j in range(r + 1))
 
 
 # -----------------------------------------------------------------------
@@ -200,13 +203,6 @@ def central_moment(n: int, r: int) -> Fraction:
 # -----------------------------------------------------------------------
 
 
-def _raw_scaled(row, r: int) -> int:
-    # n! * E[X^r] from one integer series row
-    return int(
-        sum(stirling2(r, j) * factorial(j) * row[j] for j in range(r + 1))
-    )
-
-
 def moment_table(
     n_max: int,
     r: int,
@@ -234,9 +230,9 @@ def moment_table(
         row = cache.row(n)
         nf = factorial(n)
         if kind == "raw":
-            num, den = _raw_scaled(row, r), nf
+            num, den = int(_stirling_transform(row, r)), nf
         else:
-            raws = [_raw_scaled(row, j) for j in range(r + 1)]
+            raws = [int(_stirling_transform(row, j)) for j in range(r + 1)]
             nf_pow = [1]
             for _ in range(r):
                 nf_pow.append(nf_pow[-1] * nf)

@@ -166,11 +166,13 @@ def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> 
     """Euler-Maclaurin approximation of H_m(n) for large n.
 
     For m = 1 this is ``ln n + gamma + 1/(2n) - 1/(12 n^2) + ...``; for
-    m >= 2 it is ``zeta(m)`` minus the tail estimate.  ``terms`` counts the
-    Bernoulli correction terms; with ``terms >= 4`` the result agrees with
-    the exact value to well over 30 digits for n >= 10**4.
+    2 <= m <= ZETA_MAX it is ``zeta(m)`` minus the tail estimate, and a
+    larger m raises ValueError.  ``terms`` counts the Bernoulli correction
+    terms; with ``terms >= 4`` the result agrees with the exact value to
+    well over 30 digits for n >= 10**4.
     """
     _check_harmonic_args(m, n)
+    check_zeta_order(m)
     if n < 1:
         raise ValueError("asymptotic expansion requires n >= 1")
     if terms < 0:
@@ -181,20 +183,17 @@ def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> 
         if m == 1:
             base = mp.log(nn) + mpf(_GAMMA)
         else:
-            base = mpf(_ZETA[m]) if m <= ZETA_MAX else _zeta_series(m, precision)
-            base -= nn ** (1 - m) / (m - 1)
+            base = mpf(_ZETA[m]) - nn ** (1 - m) / (m - 1)
         return base + _euler_maclaurin_corrections(m, nn, terms)
 
 
-def _zeta_series(m: int, precision: int) -> mpf:
-    # Tail-accelerated summation for exponents outside the literal table.
-    cut = 100
-    with mp.workdps(precision + 10):
-        head = harmonic(m, cut)
-        val = mpf(head.numerator) / mpf(head.denominator)
-        ncut = mpf(cut)
-        val += ncut ** (1 - m) / (m - 1)
-        return val - _euler_maclaurin_corrections(m, ncut, 20)
+def check_zeta_order(m: int) -> None:
+    """Reject H_m whose limit zeta(m) is not embedded (m > ZETA_MAX)."""
+    if m > ZETA_MAX:
+        raise ValueError(
+            f"asymptotic substitution of H_{m} needs zeta({m}); "
+            f"only m <= ZETA_MAX = {ZETA_MAX} is embedded"
+        )
 
 
 # -----------------------------------------------------------------------

@@ -18,11 +18,12 @@ and each integer polynomial product is carried out by Kronecker
 substitution: coefficients are packed into fixed-width slots of one huge
 integer, multiplied once (GMP-fast when gmpy2 is installed), and unpacked.
 Every packed slot value is bounded by n! (the coefficients of G_n are
-non-negative and sum to exactly n!), which fixes the slot width.
+non-negative and sum to exactly n!), so the slot width follows the largest
+n requested so far; the table is re-packed only when that width grows.
 
 Coefficients grow like n!, so memory for the full table up to n is
-O(n^4 log n) bits; the default ceiling of 130 costs ~40 MB, and raising it
-to N costs roughly (N/130)^4 as much.
+O(n^4 log n) bits: about 40 MB at n = 130, and roughly (N/130)^4 as much
+at n = N.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from typing import Iterator, Mapping, Union
 
 from ._intops import big_mul
 from .errors import CrossCheckError
-
-DEFAULT_MAX_N = 130
 
 
 @dataclass(frozen=True)
@@ -81,24 +80,13 @@ class PgfCache:
     symmetry of the recurrence, halving the number of polynomial products.
     """
 
-    def __init__(self, max_n: int = DEFAULT_MAX_N):
-        if max_n < 1:
-            raise ValueError("max_n must be >= 1")
+    def __init__(self):
         self._lock = threading.RLock()
         self._offsets: list[int] = []
         self._coeffs: list[tuple[int, ...]] = []
         self._packed: list[int] = []
         self._dists: dict[int, DistPoly] = {}
-        self._capacity = 0
         self._slot_bytes = 0
-        self._set_capacity(max_n)
-
-    def _set_capacity(self, cap: int) -> None:
-        # A slot must hold any accumulated coefficient, all of which are
-        # bounded by cap! (non-negative, total mass cap!).
-        self._capacity = cap
-        self._slot_bytes = (factorial(cap).bit_length() + 9) // 8
-        self._packed = [self._pack(c) for c in self._coeffs]
 
     def _pack(self, coeffs: tuple[int, ...]) -> int:
         sb = self._slot_bytes
@@ -119,7 +107,7 @@ class PgfCache:
     def _build_next(self) -> None:
         n = len(self._coeffs)
         if n <= 1:
-            offset, coeffs = 0, (1,)
+            offset, coeffs, packed = 0, (1,), 1
         else:
             offs = self._offsets
             lens = [len(c) for c in self._coeffs]
@@ -147,14 +135,22 @@ class PgfCache:
             # total mass n! * g_n(1) = n!; also guards slot overflow
             if sum(coeffs) != factorial(n):
                 raise CrossCheckError(f"PGF mass at n={n} is not n!")
+            # no slot overflowed, so acc is already G_n in packed form
+            packed = acc
         self._offsets.append(offset)
         self._coeffs.append(coeffs)
-        self._packed.append(self._pack(coeffs))
+        self._packed.append(packed)
 
     def _ensure(self, n: int) -> None:
         with self._lock:
-            if n > self._capacity:
-                self._set_capacity(n)
+            if n < len(self._coeffs):
+                return
+            # A slot must hold any accumulated coefficient of G_0..G_n, all
+            # of which are bounded by n! (non-negative, total mass n!).
+            slot_bytes = (factorial(n).bit_length() + 9) // 8
+            if slot_bytes != self._slot_bytes:
+                self._slot_bytes = slot_bytes
+                self._packed = [self._pack(c) for c in self._coeffs]
             while len(self._coeffs) <= n:
                 self._build_next()
 
@@ -183,15 +179,15 @@ class PgfCache:
         return dist
 
 
-_default_cache = PgfCache(DEFAULT_MAX_N)
+_default_cache = PgfCache()
 
 
 def pgf(n: int) -> DistPoly:
     """Exact distribution of the comparison count on random length-n input.
 
     Memoized bottom-up: requesting n forces g_0 .. g_{n-1} as well.  The
-    shared table auto-extends past the default ceiling of 130; see the
-    module docstring for the memory cost of doing so.
+    shared table's slot width follows the largest n requested; see the
+    module docstring for the memory cost.
     """
     return _default_cache.get(n)
 

@@ -20,7 +20,7 @@ from qsa.asymptotics import (
 )
 from qsa.errors import StabilityError
 from qsa.fitting import HarmonicExpr, known_central_moment, known_mean
-from qsa.numeric import PRECISION_RANGE, constants
+from qsa.numeric import PRECISION_RANGE, ZETA_MAX, constants
 
 
 def closed_form_limit(r: int) -> mpf:
@@ -157,6 +157,25 @@ class TestLowestPrecision:
         val = mean_asymptotic_check(self.lowest)
         with mp.workdps(55):
             assert abs(val - mpf("2.88539008")) < mpf("5e-9")
+
+
+class TestZetaTableBound:
+    """H_m with m > ZETA_MAX has no embedded zeta(m) to substitute; every
+    asymptotic substitution rejects it with a ValueError naming the bound."""
+
+    expr = HarmonicExpr.variable() ** 5 * HarmonicExpr.harmonic(ZETA_MAX + 1)
+
+    def test_scaled_moment_limit(self):
+        with pytest.raises(ValueError, match="ZETA_MAX"):
+            scaled_moment_limit(9, self.expr, known_central_moment(2))
+
+    def test_leading_coefficient(self):
+        with pytest.raises(ValueError, match="ZETA_MAX"):
+            leading_coefficient(self.expr)
+
+    def test_evaluate_asymptotic(self):
+        with pytest.raises(ValueError, match="ZETA_MAX"):
+            evaluate_asymptotic(self.expr, 10**6)
 
 
 class TestFiniteSizeDiagnostics:

@@ -148,6 +148,14 @@ class TestMomentTable:
         for n in range(21):
             assert table.values[n] == raw_moment(n, 3)
 
+    def test_raw_table_matches_factorial_route(self):
+        series = factorial_series(80)
+        for r in range(11):
+            table = moment_table(80, r, kind="raw")
+            assert table.values == {
+                n: moments_from_factorial(series[n], r) for n in range(81)
+            }, r
+
     def test_closed_forms_match_exact_moments(self):
         # transcribed reference formulas against the exact-PGF route
         for r in range(2, 7):

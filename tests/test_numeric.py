@@ -15,6 +15,7 @@ from mpmath import mp, mpf
 
 from qsa.numeric import (
     MAX_PRECISION,
+    ZETA_MAX,
     bernoulli,
     constants,
     harmonic,
@@ -158,6 +159,10 @@ class TestHarmonicAsymptotic:
                         for t in terms_range
                     ]
                 assert all(a > b for a, b in zip(errs, errs[1:])), (m, n, errs)
+
+    def test_exponent_beyond_zeta_table_rejected(self):
+        with pytest.raises(ValueError, match="ZETA_MAX"):
+            harmonic_asymptotic(ZETA_MAX + 1, 10**4)
 
     def test_precision_range_enforced(self):
         with pytest.raises(ValueError):

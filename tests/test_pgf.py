@@ -87,7 +87,7 @@ class TestInvariants:
 
     def test_cache_matches_convolve_recurrence(self):
         # g_n = t^(n-1)/n * sum_k g_{k-1} g_{n-k}, every product by convolve
-        cache = PgfCache(max_n=18)
+        cache = PgfCache()
         ref = [{0: Fraction(1)}, {0: Fraction(1)}]
         for n in range(2, 19):
             total: dict[int, Fraction] = {}
@@ -99,11 +99,26 @@ class TestInvariants:
             assert dict(cache.get(n).items()) == ref[n], n
 
     def test_corrupted_table_raises_cross_check_error(self):
-        cache = PgfCache(max_n=8)
+        cache = PgfCache()
         cache.scaled(6)
-        cache._packed[3] += 1  # one more unit on the lowest coefficient of G_3
+        # one more unit on the lowest coefficient of G_3, in both stored
+        # forms: the build reads the packed one, re-packing reads the tuple
+        coeffs = cache._coeffs[3]
+        cache._coeffs[3] = (coeffs[0] + 1,) + coeffs[1:]
+        cache._packed[3] += 1
         with pytest.raises(CrossCheckError):
             cache.scaled(7)
+
+    def test_widening_slots_keeps_coefficients(self):
+        grown, direct = PgfCache(), PgfCache()
+        widths = []
+        for n in (20, 45, 60):
+            grown.scaled(n)
+            widths.append(grown._slot_bytes)
+        assert widths == sorted(set(widths)), widths  # every step re-packed
+        direct.scaled(60)
+        for n in range(61):
+            assert grown.scaled(n) == direct.scaled(n), n
 
     def test_cached_coefficients_are_immutable(self):
         with pytest.raises(AttributeError):
