@@ -4,7 +4,7 @@ One subcommand per analysis surface, machine-readable output only (CSV or
 JSON, selected with --format where both are defined), deterministic for a
 fixed flag set and seed.  ``--out FILE`` redirects output to a file.
 
-Config precedence is flags > environment (QSA_NMAX, QSA_M, QSA_NMAX_GUESS,
+Config precedence is flags > environment (QSA_NMAX, QSA_NMAX_GUESS,
 QSA_PRECISION, QSA_SURROGATE) > built-in defaults.  Every ``--precision``
 accepts 30..100 significant digits (``numeric.PRECISION_RANGE``).  Exit
 codes: 2 for usage errors, 1 for computation failures (guess exhaustion,
@@ -25,7 +25,7 @@ from .distribution import export_density, tail_probability
 from .errors import QsaError
 from .fitting import guess_moment
 from .moments import central_moment, moment_table, raw_moment
-from .numeric import PRECISION_RANGE
+from .numeric import PRECISION_RANGE, check_zeta_order
 from .pgf import pgf as exact_pgf
 from .simulate import (
     EXHAUSTIVE_LIMIT,
@@ -181,21 +181,22 @@ def moment(n, r, kind, fmt, out):
 @click.option("--rmax", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--kind", type=click.Choice(["raw", "central"]), default="central",
               show_default=True)
-@click.option("--order", type=click.IntRange(min=1), default=10, show_default=True,
-              envvar="QSA_M", help="Series truncation order (must be >= rmax).")
 @click.option("--source", type=click.Choice(["series", "exact"]), default="series",
               show_default=True,
               help="Truncated-series route (fast) or exact-PGF route (authoritative).")
 @click.option("--format", "fmt", type=_FORMAT, default="csv", show_default=True)
 @_out_option
 @_domain_errors
-def moments_table(nmax, rmax, kind, order, source, fmt, out):
-    """Moment table, one row n,r,num,den per (n, r)."""
+def moments_table(nmax, rmax, kind, source, fmt, out):
+    """Moment table, one row n,r,num,den per (n, r).
+
+    The series route truncates the expansions at order rmax.
+    """
     r_lo = 1 if kind == "central" else 0
     rows = []
     if source == "series":
         for r in range(r_lo, rmax + 1):
-            table = moment_table(nmax, r, kind=kind, order=max(order, rmax))
+            table = moment_table(nmax, r, kind=kind)
             for n in range(r_lo, nmax + 1):
                 rows.append((n, r, table.values[n]))
         rows.sort()
@@ -255,11 +256,14 @@ def limits(r_range, precision, out):
     """Limiting scaled moments from freshly fitted closed forms.
 
     One JSON object per line.  Orders 7 and 8 need moment data up to
-    n = 758 and take a few minutes on first use.
+    n = 758 and take a few minutes on first use; orders above 8 have no
+    embedded zeta constant and fail at once.
     """
     lo, hi = r_range
     if lo < 2:
         raise click.UsageError("scaled moments require r >= 2")
+    # m_r's top terms carry H_r, so fail before fitting anything
+    check_zeta_order(hi)
     base = guess_moment(2)
     lines = []
     for r in range(lo, hi + 1):

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
-from .moments import moment_table
+from .moments import DEFAULT_ORDER, moment_table
 from .numeric import harmonic
 
 VERIFIED = "verified"
@@ -636,10 +636,13 @@ def guess_moment(
     windows: ``slack`` more training points than monomials, then at least
     ``test_points`` test points and at least through ``test_floor``.
     ``train`` and ``test`` (given together) fix both windows for every
-    template instead, and ``n_max_data`` is then unused.
+    template instead, and ``n_max_data`` is then unused.  Orders above
+    ``moments.DEFAULT_ORDER`` are rejected before any data is built.
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
+    if r > DEFAULT_ORDER:
+        raise ValueError(f"order {r} exceeds series truncation {DEFAULT_ORDER}")
     if (train is None) != (test is None):
         raise ValueError("train and test windows must be given together")
     last_size = 0

@@ -15,7 +15,9 @@ Two routes are implemented:
 As in the PGF builder, the series recurrence is scaled by n! so every
 stored coefficient is a non-negative integer.  Truncation is harmless for
 the retained orders: the first M+1 coefficients of a truncated product
-equal those of the full product.
+equal those of the full product.  So the one shared table keeps only the
+orders asked of it so far: a moment table of order r raises it to order r,
+which computes just the new coefficients of the rows it reads.
 
 Whenever both routes exist the exact-PGF route is authoritative; bulk
 tables built from the series route cross-check their first few entries
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from operator import mul
 
 from ._intops import big, big_gcd
 from .errors import CrossCheckError
@@ -60,51 +63,73 @@ class SeriesCache:
     """Bottom-up table of truncated expansions of g_n around t = 1.
 
     Rows hold the integer vectors n! * [w^r] g_n(1+w) for r = 0..order, as
-    immutable tuples.
+    immutable tuples.  The table grows in two directions: ``raise_order``
+    raises the truncation order, and ``ensure(n)`` brings rows 0..n up to it,
+    appending the coefficients a stored row lacks and building the rows not
+    yet there.  Rows above n keep their order until they are asked for.
+    Truncation is exact, so a row's first coefficients never change when the
+    order is raised; each coefficient is computed once, whichever order the
+    table was grown in.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER):
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        if order < 0:
+            raise ValueError("order must be >= 0")
         self.order = order
         self._rows: list[tuple] = []
+        # pre-binomial pivot sums of each row (None for n <= 1): raising the
+        # order needs all of them, not only the new coefficients
+        self._acc: list[list | None] = []
+        # rows below this hold every order through self.order; the stored
+        # rows from it on hold fewer, and no more than the row below them
+        self._full = 0
         self._lock = threading.RLock()
 
-    def _mul_add(self, acc: list, a, b, weight: int = 1) -> list:
-        """acc += weight * a * b over the kept orders 0..order; returns acc."""
-        M = self.order
-        for i in range(M + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            wai = weight * ai if weight != 1 else ai
-            for j in range(M + 1 - i):
-                acc[i + j] += wai * b[j]
-        return acc
+    def _extend(self, n: int, lo: int, hi: int) -> None:
+        """Compute coefficients lo..hi of row n from the rows below it.
 
-    def _build_next(self) -> None:
-        n = len(self._rows)
-        M = self.order
+        lo = 0 appends a new row; otherwise row n holds the orders below lo.
+        Rows below n hold orders through hi.
+        """
         if n <= 1:
-            self._rows.append((big(1),) + (big(0),) * M)
-            return
-        rows = self._rows
-        acc = [big(0)] * (M + 1)
-        # pivots k and n+1-k give the same product; the middle one of an
-        # odd n stands alone
-        for k in range(1, (n + 1) // 2 + 1):
-            w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
-            self._mul_add(acc, rows[k - 1], rows[n - k], w)
-        binom_row = [big(comb(n - 1, j)) for j in range(M + 1)]
-        row = self._mul_add([big(0)] * (M + 1), acc, binom_row)
-        if row[0] != factorial(n):  # n! * g_n(1)
-            raise CrossCheckError(f"series row at n={n} does not total n!")
-        self._rows.append(tuple(row))
+            new = [big(int(r == 0)) for r in range(lo, hi + 1)]
+            acc = None
+        else:
+            rows = self._rows
+            acc = (self._acc[n] if lo else []) + [big(0)] * (hi + 1 - lo)
+            # pivots k and n+1-k give the same product; the middle one of an
+            # odd n stands alone
+            for k in range(1, (n + 1) // 2 + 1):
+                w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
+                a, b = rows[k - 1], rows[n - k]
+                for r in range(lo, hi + 1):  # [w^r] of the truncated a * b
+                    acc[r] += w * sum(map(mul, a[: r + 1], b[r::-1]))
+            binom = [big(comb(n - 1, j)) for j in range(hi + 1)]
+            new = [sum(map(mul, acc[: r + 1], binom[r::-1])) for r in range(lo, hi + 1)]
+            if lo == 0 and new[0] != factorial(n):  # n! * g_n(1)
+                raise CrossCheckError(f"series row at n={n} does not total n!")
+        if lo == 0:
+            self._rows.append(tuple(new))
+            self._acc.append(acc)
+        else:
+            self._rows[n] += tuple(new)
+            self._acc[n] = acc
 
     def ensure(self, n: int) -> None:
+        """Bring rows 0..n to the current order, in ascending n."""
         with self._lock:
-            while len(self._rows) <= n:
-                self._build_next()
+            while self._full <= n:
+                m = self._full
+                lo = len(self._rows[m]) if m < len(self._rows) else 0
+                self._extend(m, lo, self.order)
+                self._full += 1
+
+    def raise_order(self, order: int) -> None:
+        """Raise the order to at least ``order``; ``ensure`` fills rows in."""
+        with self._lock:
+            if order > self.order:
+                self.order = order
+                self._full = 0
 
     def row(self, n: int) -> tuple:
         if n < 0:
@@ -112,30 +137,30 @@ class SeriesCache:
         self.ensure(n)
         return self._rows[n]
 
-    def series(self, n: int) -> TruncatedSeries:
-        row = self.row(n)
-        nf = factorial(n)
-        return TruncatedSeries(
-            n=n,
-            order=self.order,
-            coeffs=tuple(Fraction(int(c), nf) for c in row),
-        )
 
-
-_shared_series_caches = cache(SeriesCache)
+_shared_series = SeriesCache(order=0)
 
 
 def series_cache(order: int = DEFAULT_ORDER) -> SeriesCache:
-    """The shared table of one truncation order; ``series_cache()`` and
-    ``series_cache(10)`` are the same object."""
-    return _shared_series_caches(order)
+    """The process's one shared table, raised to at least ``order``.
+
+    Every order is served by the same object; the table holds only the
+    orders asked of it so far.
+    """
+    _shared_series.raise_order(order)
+    return _shared_series
 
 
 def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
     """Truncated expansions of g_n(1+w) for n = 0..n_max."""
     cache = series_cache(order)
     cache.ensure(n_max)
-    return [cache.series(n) for n in range(n_max + 1)]
+    out = []
+    for n in range(n_max + 1):
+        nf = factorial(n)
+        coeffs = tuple(Fraction(int(c), nf) for c in cache.row(n)[: order + 1])
+        out.append(TruncatedSeries(n=n, order=order, coeffs=coeffs))
+    return out
 
 
 @cache
@@ -207,7 +232,6 @@ def moment_table(
     n_max: int,
     r: int,
     kind: str = "central",
-    order: int | None = None,
     cross_check_upto: int = 12,
 ) -> MomentTable:
     """Moments of order r for every n = 0..n_max, via the series route.
@@ -216,14 +240,15 @@ def moment_table(
     mean.  The first ``cross_check_upto`` entries are verified against the
     exact-PGF route; disagreement raises :class:`CrossCheckError` (it would
     mean one of the two recurrence implementations is wrong).
+
+    The shared series table is raised to order r if it is lower, and rows
+    0..n_max are brought to its order, so every r >= 0 is served.
     """
     if kind not in ("raw", "central"):
         raise ValueError(f"unknown moment kind {kind!r}")
     if r < 0 or (kind == "central" and r < 1):
         raise ValueError("invalid moment order")
-    cache = series_cache(DEFAULT_ORDER if order is None else order)
-    if r > cache.order:
-        raise ValueError(f"order {r} exceeds series truncation {cache.order}")
+    cache = series_cache(r)
     cache.ensure(n_max)
     values: dict[int, Fraction] = {}
     for n in range(n_max + 1):

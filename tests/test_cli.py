@@ -93,6 +93,17 @@ class TestGuessCommand:
         )
         assert result.exit_code == 1
 
+    def test_order_above_default_truncation_fails_before_any_data(
+        self, runner, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("moment data built")
+
+        monkeypatch.setattr("qsa.fitting.moment_table", no_data)
+        result = runner.invoke(cli, ["guess", "--r", "11"])
+        assert result.exit_code == 1
+        assert "order 11 exceeds series truncation 10" in result.output
+
 
 class TestLimitsCommand:
     def test_skewness_limit_value(self, runner):
@@ -101,6 +112,17 @@ class TestLimitsCommand:
         assert payload["r"] == 3
         assert payload["value"].startswith("0.8548818671325885")
         assert payload["stable_digits"] >= 12
+
+    def test_order_without_zeta_constant_fails_before_fitting(
+        self, runner, monkeypatch
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("guess_moment called")
+
+        monkeypatch.setattr("qsa.cli.guess_moment", no_fit)
+        result = runner.invoke(cli, ["limits", "--r", "3..9"])
+        assert result.exit_code == 1
+        assert "ZETA_MAX = 8" in result.output
 
 
 class TestDistributionCommands:

@@ -1,10 +1,15 @@
 """Moment extraction: exact route, truncated series route, and their agreement."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import qsa
 from qsa.errors import CrossCheckError
 from qsa.fitting import known_central_moment, known_mean
 from qsa.moments import (
@@ -89,6 +94,7 @@ class TestFactorialSeries:
                 assert row[r] == factorial(n) * coeff, (n, r)
 
     def test_corrupted_row_raises_cross_check_error(self):
+        # a new row reads the stored rows below it, not their pivot sums
         cache = SeriesCache(order=4)
         cache.ensure(6)
         row = cache._rows[3]
@@ -100,10 +106,42 @@ class TestFactorialSeries:
         with pytest.raises(AttributeError):
             series_cache().row(5).append(0)
 
-    def test_shared_cache_is_one_object_per_order(self):
-        assert series_cache() is series_cache(10)
-        assert series_cache(4) is series_cache(4)
-        assert series_cache(4) is not series_cache()
+    def test_one_shared_table_serves_every_order(self):
+        assert series_cache(4) is series_cache()
+        assert series_cache(12) is series_cache(1)
+        assert series_cache(1).order >= 12
+
+    def test_raising_order_keeps_rows(self):
+        cache = SeriesCache(order=2)
+        cache.ensure(60)
+        for order in (6, 10):
+            cache.raise_order(order)
+            assert cache.order == order
+            cache.ensure(30)
+            # rows above the ones asked for keep their order until read
+            assert len(cache.row(30)) == order + 1
+            assert len(cache._rows[60]) == 3
+        direct = SeriesCache(order=10)
+        for n in range(61):
+            assert cache.row(n) == direct.row(n), n
+        # rows added after a raise are built at the raised order
+        assert cache.row(70) == direct.row(70)
+
+    def test_guess_moment_grows_shared_table_to_its_order(self):
+        # closed-form commands save by leaving the table at the order they read
+        src = str(Path(qsa.__file__).resolve().parents[1])
+        code = (
+            "from qsa.fitting import guess_moment\n"
+            "from qsa.moments import series_cache\n"
+            "guess_moment(3)\n"
+            "print(series_cache(0).order)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "3"
 
 
 class TestStirlingTransform:
@@ -164,8 +202,14 @@ class TestMomentTable:
                 assert expr.evaluate(n) == central_moment(n, r)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            moment_table(10, 11)
+        # orders above the default truncation grow the table further
+        for r in (11, 12):
+            assert moment_table(10, r, kind="raw").values == {
+                n: raw_moment(n, r) for n in range(11)
+            }
+            assert moment_table(10, r).values == {
+                n: central_moment(n, r) for n in range(11)
+            }
         with pytest.raises(ValueError):
             moment_table(10, 2, kind="weird")
         with pytest.raises(ValueError):
