@@ -28,6 +28,7 @@ from .distribution import (
 )
 from .errors import (
     CrossCheckError,
+    EnclosureError,
     FitSolverError,
     GuessError,
     InsufficientDataError,
@@ -56,7 +57,15 @@ from .moments import (
     moments_from_factorial,
     raw_moment,
 )
-from .numeric import Constants, Rational, bernoulli, constants, harmonic, harmonic_asymptotic
+from .numeric import (
+    Constants,
+    Rational,
+    bernoulli,
+    constants,
+    harmonic,
+    harmonic_asymptotic,
+    harmonic_enclosure,
+)
 from .pgf import DistPoly, PgfCache, convolve, pgf, scaled_pgf
 from .simulate import (
     EmpiricalStats,
@@ -76,6 +85,7 @@ __all__ = [
     "DensityBin",
     "DistPoly",
     "EmpiricalStats",
+    "EnclosureError",
     "FitReport",
     "FitSolverError",
     "GuessError",
@@ -107,6 +117,7 @@ __all__ = [
     "guess_moment",
     "harmonic",
     "harmonic_asymptotic",
+    "harmonic_enclosure",
     "known_central_moment",
     "known_mean",
     "leading_coefficient",

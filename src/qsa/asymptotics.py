@@ -159,19 +159,12 @@ def evaluate_asymptotic(
     if n < 1:
         raise ValueError("n must be >= 1")
     with mp.workdps(precision + 10):
-        nn = mpf(n)
         h_precision = min(precision + 5, MAX_PRECISION)
         h = {
             m: harmonic_asymptotic(m, n, terms=terms, precision=h_precision)
             for m in {m for mono in expr.terms for m, _ in mono.h_powers}
         }
-        total = mpf(0)
-        for mono, coeff in expr.terms.items():
-            val = mpf(coeff.numerator) / mpf(coeff.denominator) * nn**mono.n_power
-            for m, e in mono.h_powers:
-                val *= h[m] ** e
-            total += val
-        return +total
+        return +expr.evaluate_real(n, h)
 
 
 def mean_over_nlogn(n: int, precision: int = 50) -> mpf:

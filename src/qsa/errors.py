@@ -23,3 +23,7 @@ class StabilityError(QsaError, RuntimeError):
 
 class CrossCheckError(QsaError, RuntimeError):
     """Two independent computation routes disagreed on an exact value."""
+
+
+class EnclosureError(QsaError, ValueError):
+    """An enclosure cannot meet the error bound asked of it."""

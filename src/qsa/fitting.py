@@ -5,9 +5,10 @@ polynomial combinations of n and the generalized harmonic numbers
 H_1(n)..H_r(n).  This module rediscovers them the data-driven way: build a
 monomial template, solve for the coefficients on a training window of
 exact moment values, and confirm the candidate on a disjoint (much larger)
-testing window with *exactly zero* residuals.  Nothing here is
-floating-point: a "verified" report means every train and test equation
-holds in rational arithmetic.
+testing window with *exactly zero* residuals.  The fits involve no
+floating point: a "verified" report means every train and test equation
+holds in rational arithmetic.  (``HarmonicExpr.evaluate_real`` evaluates a
+closed form from real harmonic values, for callers at very large n.)
 
 Template grading: a monomial is n^a * prod_m H_m(n)^(b_m); the escalation
 ladder bounds the n-exponent by d and the weighted harmonic degree
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+
+from mpmath import mpf
 
 if TYPE_CHECKING:
     import numpy as np
@@ -248,6 +251,17 @@ class HarmonicExpr:
                 if p is None:
                     p = powers[key] = harmonic(m, n) ** e
                 val *= p
+            total += val
+        return total
+
+    def evaluate_real(self, n: int, h: Mapping[int, mpf]) -> mpf:
+        """Value at n in the current mpmath precision, with H_m(n) taken as ``h[m]``."""
+        nn = mpf(n)
+        total = mpf(0)
+        for mono, coeff in self._terms.items():
+            val = mpf(coeff.numerator) / mpf(coeff.denominator) * nn**mono.n_power
+            for m, e in mono.h_powers:
+                val *= h[m] ** e
             total += val
         return total
 

@@ -10,7 +10,8 @@ context outside a ``workdps`` block.
 Two families of quantities live here:
 
 * generalized harmonic numbers ``H_m(n) = sum_{i=1}^n 1/i^m``, both exact
-  (Fraction) and asymptotic (Euler-Maclaurin, for very large ``n``);
+  (Fraction) and asymptotic (Euler-Maclaurin, for very large ``n``), the
+  latter also as an enclosure with a rigorous error bound;
 * the classical constants gamma, pi and zeta(2..8) that appear in the
   large-``n`` behaviour of the comparison-count moments.
 
@@ -27,11 +28,13 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import count, islice
 from math import comb, factorial, prod
 
 from mpmath import mp, mpf
 
 from ._intops import big, big_gcd
+from .errors import EnclosureError
 
 Rational = Fraction
 
@@ -149,17 +152,22 @@ def bernoulli(k: int) -> Fraction:
 # -----------------------------------------------------------------------
 
 
-def _euler_maclaurin_corrections(m: int, n, terms: int):
-    """1/(2 n^m) - sum_{k<=terms} B_{2k}/(2k)! * m(m+1)...(m+2k-2) / n^(m+2k-1).
+def _euler_maclaurin_base(m: int, n):
+    """The divergent or limiting part of H_m(n): ln n + gamma, or zeta(m) - n^(1-m)/(m-1)."""
+    if m == 1:
+        return mp.log(n) + mpf(_GAMMA)
+    return mpf(_ZETA[m]) - n ** (1 - m) / (m - 1)
 
-    These are the decaying correction terms shared by every H_m expansion;
-    the caller supplies the divergent/limiting base term.
+
+def _euler_maclaurin_terms(m: int, n):
+    """B_{2k}/(2k)! * m(m+1)...(m+2k-2) / n^(m+2k-1) for k = 1, 2, ...
+
+    H_m(n) is the base term plus 1/(2 n^m) minus these corrections.  The
+    series diverges, so callers decide where to stop.
     """
-    val = 1 / (2 * n**m)
-    for k in range(1, terms + 1):
+    for k in count(1):
         coeff = bernoulli(2 * k) * prod(range(m, m + 2 * k - 1)) / factorial(2 * k)
-        val -= mpf(coeff.numerator) / mpf(coeff.denominator) / n ** (m + 2 * k - 1)
-    return val
+        yield mpf(coeff.numerator) / mpf(coeff.denominator) / n ** (m + 2 * k - 1)
 
 
 def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> mpf:
@@ -169,7 +177,8 @@ def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> 
     2 <= m <= ZETA_MAX it is ``zeta(m)`` minus the tail estimate, and a
     larger m raises ValueError.  ``terms`` counts the Bernoulli correction
     terms; with ``terms >= 4`` the result agrees with the exact value to
-    well over 30 digits for n >= 10**4.
+    well over 30 digits for n >= 10**4.  :func:`harmonic_enclosure` picks
+    the number of terms itself and bounds the error.
     """
     _check_harmonic_args(m, n)
     check_zeta_order(m)
@@ -180,11 +189,62 @@ def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> 
     check_precision(precision)
     with mp.workdps(precision + 10):
         nn = mpf(n)
-        if m == 1:
-            base = mp.log(nn) + mpf(_GAMMA)
-        else:
-            base = mpf(_ZETA[m]) - nn ** (1 - m) / (m - 1)
-        return base + _euler_maclaurin_corrections(m, nn, terms)
+        corrections = 1 / (2 * nn**m)
+        for term in islice(_euler_maclaurin_terms(m, nn), terms):
+            corrections -= term
+        return _euler_maclaurin_base(m, nn) + corrections
+
+
+def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
+    """H_m(n) to within 10^-digits: ``(value, bound)`` with |H_m(n) - value| <= bound.
+
+    ``value`` is the Euler-Maclaurin expansion, base term plus 1/(2 n^m)
+    minus the B_{2k} corrections, cut before the first correction below
+    half the budget.  For f(x) = x^-m every derivative keeps one sign, so
+    the remainder lies between zero and that first omitted term (Graham,
+    Knuth & Patashnik, *Concrete Mathematics*, section 9.5).  ``bound`` adds
+    to it the error of the embedded constant and of the rounding in the
+    evaluation, and never exceeds 10^-digits: when the terms start to grow
+    before one falls below the budget (n too small for the digits asked),
+    or the constant's literal is too short, :class:`EnclosureError` is
+    raised instead.  The value carries ``digits + 10`` significant digits.
+    """
+    _check_harmonic_args(m, n)
+    check_zeta_order(m)
+    if n < 1:
+        raise ValueError("asymptotic expansion requires n >= 1")
+    if not isinstance(digits, int) or digits < 1:
+        raise ValueError(f"digits must be a positive integer, got {digits!r}")
+    literal = _GAMMA if m == 1 else _ZETA[m]
+    with mp.workdps(digits + 10):
+        budget = mpf(10) ** -digits
+        nn = mpf(n)
+        value = _euler_maclaurin_base(m, nn) + 1 / (2 * nn**m)
+        previous = None
+        for used, term in enumerate(_euler_maclaurin_terms(m, nn)):
+            if abs(term) <= budget / 2:
+                break
+            if previous is not None and abs(term) >= previous:
+                raise EnclosureError(
+                    f"H_{m}({n}) cannot be enclosed to 10^-{digits}: the "
+                    f"Euler-Maclaurin terms grow from term {used + 1} on, "
+                    f"at {mp.nstr(previous, 3)}"
+                )
+            value -= term
+            previous = abs(term)
+        # The base term and 1/(2 n^m) take 8 rounded operations and each
+        # subtracted term at most 5, every one on a quantity no larger than
+        # |value| + 1 and off by at most 2^(1-prec) of it (mpmath's log and
+        # integer powers stay within an ulp); 4 * (used + 8) covers them.
+        rounding = 4 * (used + 8) * mpf(2) ** (1 - mp.prec) * (abs(value) + 1)
+        literal_error = mpf(10) ** -len(literal.partition(".")[2])
+        bound = abs(term) + literal_error + rounding
+        if bound > budget:
+            raise EnclosureError(
+                f"H_{m}({n}) cannot be enclosed to 10^-{digits}: the embedded "
+                f"constant and the rounding leave an error bound of {mp.nstr(bound, 3)}"
+            )
+        return value, bound
 
 
 def check_zeta_order(m: int) -> None:

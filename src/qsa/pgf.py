@@ -211,7 +211,8 @@ def convolve(a: CoeffTable, b: CoeffTable) -> dict[int, Fraction]:
 
     Degrees add and total mass multiplies; convolving with {0: 1} is the
     identity.  This is the reference implementation for small tables; the
-    cache builder above uses the packed-integer route instead.
+    cache builder above uses the packed-integer route instead.  It stays in
+    the package as the reference the tests check ``PgfCache`` against.
     """
     ta, tb = _as_table(a), _as_table(b)
     out: dict[int, Fraction] = {}

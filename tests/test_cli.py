@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import qsa
 from qsa.cli import cli
+from qsa.distribution import scale
 from qsa.fitting import HarmonicExpr, known_mean
 
 
@@ -149,6 +150,22 @@ class TestDistributionCommands:
         )
         assert payload["saturated"] is False
         assert 0 < float(payload["probability"]) < 1
+
+    def test_tail_at_a_billion_needs_no_exact_harmonics(self, runner, monkeypatch):
+        # the surrogate's own exact closed forms are built first; after that
+        # no exact harmonic number may be asked for
+        scale(30, 50)
+
+        def no_harmonic(*args, **kwargs):
+            raise AssertionError("exact harmonic number built")
+
+        monkeypatch.setattr("qsa.numeric.harmonic", no_harmonic)
+        monkeypatch.setattr("qsa.fitting.harmonic", no_harmonic)
+        args = ["tail", "--n", "1000000000", "--x", "38600000000", "--surrogate", "30"]
+        payload = json.loads(run_ok(runner, args))
+        assert payload["saturated"] is False
+        assert 0 < float(payload["probability"]) < 1
+        assert payload["z"].startswith("-0.0014855")
 
 
 class TestSimulationCommands:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from qsa.cli import high_real_str
 from qsa.distribution import export_density, scale, tail_probability
 from qsa.fitting import known_central_moment, known_mean
 from qsa.pgf import pgf
@@ -91,6 +92,33 @@ class TestTailProbability:
             for x in range(40000, 90000, 2500)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n", [4001, 5003, 7919, 12345, 19997])
+    def test_enclosed_closed_forms_print_as_the_exact_ones(self, n):
+        # above the exact-harmonic threshold c_n and m_2(n) come from
+        # enclosures; the printed z and probability must not change
+        mean = known_mean().evaluate(n)
+        var = known_central_moment(2).evaluate(n)
+        sd = float(var) ** 0.5
+        for x in (int(mean - sd * 13 / 10), int(mean + sd * 21 / 10)):
+            for precision in (30, 100):
+                sur = scale(40, precision)
+                with mp.workdps(precision + 10):
+                    sigma = mp.sqrt(mpf(var.numerator) / mpf(var.denominator))
+                    z = (mpf(x) - mpf(mean.numerator) / mpf(mean.denominator)) / sigma
+                    k = mpf(sur.mean.numerator) / mpf(sur.mean.denominator) + z * sur.sigma
+                    idx = int(k) - sur.min_k
+                    left, right = (
+                        mpf(c.numerator) / mpf(c.denominator)
+                        for c in sur.cumulative[idx : idx + 2]
+                    )
+                    prob = 1 - (left + (right - left) * (k - (sur.min_k + idx)))
+                est = tail_probability(n, x, surrogate_n=40, precision=precision)
+                assert not est.saturated and est.exact is None
+                assert high_real_str(est.z_cut, 17) == high_real_str(z, 17)
+                assert high_real_str(est.probability, precision) == high_real_str(
+                    prob, precision
+                )
 
     def test_target_validation(self):
         for n in (1, 2):

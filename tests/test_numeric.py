@@ -13,13 +13,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from qsa.distribution import _GUARD
+from qsa.errors import EnclosureError
 from qsa.numeric import (
+    _PREFIX_LIMIT,
     MAX_PRECISION,
     ZETA_MAX,
     bernoulli,
     constants,
     harmonic,
     harmonic_asymptotic,
+    harmonic_enclosure,
 )
 
 
@@ -169,6 +173,33 @@ class TestHarmonicAsymptotic:
             harmonic_asymptotic(1, 100, 4, precision=10)
         with pytest.raises(ValueError):
             harmonic_asymptotic(1, 0, 4)
+
+
+class TestHarmonicEnclosure:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [_PREFIX_LIMIT + 1, 10**4, 30012])
+    def test_interval_contains_exact_value(self, m, n):
+        # the digits tail_probability asks for at each precision
+        exact = harmonic(m, n)
+        for precision in (30, 50, 100):
+            value, bound = harmonic_enclosure(m, n, precision + 10 + _GUARD)
+            with mp.workdps(TRUTH_DIGITS + 20):
+                assert bound < mpf(10) ** -(precision + 10)
+                assert abs(mpf(exact.numerator) / exact.denominator - value) <= bound
+
+    def test_argument_too_small_for_the_digits_raises(self):
+        # the smallest term, near k = pi n, is about 10^-27 at n = 10
+        with pytest.raises(EnclosureError, match="grow"):
+            harmonic_enclosure(1, 10, 40)
+        value, bound = harmonic_enclosure(1, 10, 20)
+        exact = harmonic(1, 10)
+        with mp.workdps(40):
+            assert abs(value - mpf(exact.numerator) / exact.denominator) <= bound
+
+    def test_digits_beyond_the_constants_raise(self):
+        # zeta(2) is embedded to 119 decimals
+        with pytest.raises(EnclosureError, match="embedded constant"):
+            harmonic_enclosure(2, 10**6, 125)
 
 
 class TestConstants:
