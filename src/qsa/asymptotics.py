@@ -30,7 +30,6 @@ from .fitting import HarmonicExpr, known_mean, known_central_moment
 from .numeric import (
     MAX_PRECISION,
     check_precision,
-    check_zeta_order,
     guarded_constants,
     harmonic_asymptotic,
 )
@@ -49,15 +48,20 @@ class AsymptoticValue:
 
 
 def _limit_value(terms, n: int, consts) -> mpf:
-    """sum c * n^a * prod(sub(H_m))^e with H_1 -> ln n + gamma, H_m -> zeta(m)."""
+    """sum c * n^a * prod(sub(H_m))^e with H_1 -> ln n + gamma, H_m -> zeta(m).
+
+    zeta(m) is taken at the precision of ``consts``, so it equals
+    ``consts.zeta[m]`` where that exists.
+    """
     nn = mpf(n)
     log_term = mp.log(nn) + consts.gamma
+    with mp.workdps(consts.precision + 10):
+        zeta = {m: mp.zeta(m) for mono in terms for m, _ in mono.h_powers if m > 1}
     total = mpf(0)
     for mono, coeff in terms.items():
         val = mpf(coeff.numerator) / mpf(coeff.denominator) * nn**mono.n_power
         for m, e in mono.h_powers:
-            check_zeta_order(m)
-            val *= (log_term if m == 1 else consts.zeta[m]) ** e
+            val *= (log_term if m == 1 else zeta[m]) ** e
         total += val
     return total
 

@@ -23,9 +23,9 @@ from mpmath import mp, mpf, nstr
 from .asymptotics import scaled_moment_limit
 from .distribution import export_density, tail_probability
 from .errors import QsaError
-from .fitting import guess_moment
+from .fitting import check_fit_order, guess_moment
 from .moments import central_moment, moment_table, raw_moment
-from .numeric import PRECISION_RANGE, check_zeta_order
+from .numeric import PRECISION_RANGE
 from .pgf import pgf as exact_pgf
 from .simulate import (
     EXHAUSTIVE_LIMIT,
@@ -256,14 +256,14 @@ def limits(r_range, precision, out):
     """Limiting scaled moments from freshly fitted closed forms.
 
     One JSON object per line.  Orders 7 and 8 need moment data up to
-    n = 758 and take a few minutes on first use; orders above 8 have no
-    embedded zeta constant and fail at once.
+    n = 758 and take a few minutes on first use; orders above
+    ``fitting.MAX_FIT_ORDER`` (8) fail at once.
     """
     lo, hi = r_range
     if lo < 2:
         raise click.UsageError("scaled moments require r >= 2")
-    # m_r's top terms carry H_r, so fail before fitting anything
-    check_zeta_order(hi)
+    # fail before fitting anything
+    check_fit_order(hi)
     base = guess_moment(2)
     lines = []
     for r in range(lo, hi + 1):

@@ -40,8 +40,7 @@ from .pgf import scaled_pgf
 DEFAULT_SURROGATE = 130
 
 # Digits beyond the working precision to which enclosed closed forms are
-# evaluated before rounding; precision 100 then asks H_m(n) for 115 digits,
-# inside the 119 that the embedded zeta(2) literal carries.
+# evaluated before rounding; precision 100 then asks H_m(n) for 115 digits.
 _GUARD = 5
 
 NumberLike = Union[int, Fraction]

@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
-from .moments import DEFAULT_ORDER, moment_table
+from .moments import moment_table
 from .numeric import harmonic
 
 VERIFIED = "verified"
@@ -53,6 +53,10 @@ DEFAULT_TEST_POINTS = 150
 DEFAULT_TEST_FLOOR = 306
 
 _MAX_PRIMES = 32
+
+#: The largest moment order guess_moment fits.  Order 9's d = 9 template has
+#: 970 monomials (603 at order 8) and needs exact moment data to n = 1125.
+MAX_FIT_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -629,6 +633,16 @@ def _moment_data(r: int, n_max: int) -> Mapping[int, Fraction]:
     return values
 
 
+def check_fit_order(r: int) -> None:
+    """Reject a moment order above :data:`MAX_FIT_ORDER`, naming its cost."""
+    if r > MAX_FIT_ORDER:
+        raise ValueError(
+            f"moment order {r} exceeds MAX_FIT_ORDER = {MAX_FIT_ORDER}: fitting "
+            f"order 9 needs a 970-monomial template and exact moment data to "
+            f"n = 1125"
+        )
+
+
 def guess_moment(
     r: int,
     n_max_data: int | None = None,
@@ -651,12 +665,11 @@ def guess_moment(
     ``test_points`` test points and at least through ``test_floor``.
     ``train`` and ``test`` (given together) fix both windows for every
     template instead, and ``n_max_data`` is then unused.  Orders above
-    ``moments.DEFAULT_ORDER`` are rejected before any data is built.
+    :data:`MAX_FIT_ORDER` are rejected before any data is built.
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    if r > DEFAULT_ORDER:
-        raise ValueError(f"order {r} exceeds series truncation {DEFAULT_ORDER}")
+    check_fit_order(r)
     if (train is None) != (test is None):
         raise ValueError("train and test windows must be given together")
     last_size = 0

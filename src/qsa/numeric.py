@@ -12,12 +12,11 @@ Two families of quantities live here:
 * generalized harmonic numbers ``H_m(n) = sum_{i=1}^n 1/i^m``, both exact
   (Fraction) and asymptotic (Euler-Maclaurin, for very large ``n``), the
   latter also as an enclosure with a rigorous error bound;
-* the classical constants gamma, pi and zeta(2..8) that appear in the
+* the classical constants gamma, pi and zeta(m) that appear in the
   large-``n`` behaviour of the comparison-count moments.
 
-The constants are embedded as 120-digit decimal literals and are
-re-verified by independent series evaluations in the test suite, guarding
-against transcription slips without shipping a special-function engine.
+The constants come from mpmath (``mp.euler``, ``mp.pi``, ``mp.zeta``) at the
+working precision, and the test suite re-derives them by independent series.
 The module also owns the precision policy: the range every evaluation
 accepts, and how those precisions ask for constants.
 """
@@ -38,29 +37,16 @@ from .errors import EnclosureError
 
 Rational = Fraction
 
-#: constants() accepts precisions in this inclusive range.  The upper cap
-#: exists because the embedded literals carry 120 digits and a 10-digit
-#: guard is kept on top of the requested precision.
+#: constants() accepts precisions in this inclusive range.  With the clamp in
+#: guarded_constants() it fixes how many guard digits every accepted
+#: precision's constants carry, and so every printed digit; widening either
+#: changes outputs.
 MIN_PRECISION = 50
 MAX_PRECISION = 100
 
 #: Every high-precision evaluation in the package, and the command line,
 #: accepts precisions (significant decimal digits) in this inclusive range.
 PRECISION_RANGE = (30, MAX_PRECISION)
-
-_GAMMA = "0.577215664901532860606512090082402431042159335939923598805767234884867726777664670936947063291746749514631447249807082481"
-_PI = "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628034825342117067982148086513282306647"
-_ZETA = {
-    2: "1.64493406684822643647241516664602518921894990120679843773555822937000747040320087383362890061975870530400431896233719068",
-    3: "1.202056903159594285399738161511449990764986292340498881792271555341838205786313090186455873609335258146199157795260719418",
-    4: "1.082323233711138191516003696541167902774750951918726907682976215444120616186968846556909635941699917232990813908042742415",
-    5: "1.036927755143369926331365486457034168057080919501912811974192677903803589786281484560043106557133336379620341466556609043",
-    6: "1.017343061984449139714517929790920527901817490032853561842408664004332182901957897882773977938535170530279191162254558867",
-    7: "1.008349277381922826839797549849796759599863560565238706417283136571601478317355735346096968913851323968961453651491074887",
-    8: "1.004077356197944339378685238508652465258960790649850020329110202652582952574748814395287230372371971124523648470282690026",
-}
-
-ZETA_MAX = max(_ZETA)
 
 # -----------------------------------------------------------------------
 # Exact harmonic numbers
@@ -155,8 +141,8 @@ def bernoulli(k: int) -> Fraction:
 def _euler_maclaurin_base(m: int, n):
     """The divergent or limiting part of H_m(n): ln n + gamma, or zeta(m) - n^(1-m)/(m-1)."""
     if m == 1:
-        return mp.log(n) + mpf(_GAMMA)
-    return mpf(_ZETA[m]) - n ** (1 - m) / (m - 1)
+        return mp.log(n) + mp.euler
+    return mp.zeta(m) - n ** (1 - m) / (m - 1)
 
 
 def _euler_maclaurin_terms(m: int, n):
@@ -174,14 +160,13 @@ def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> 
     """Euler-Maclaurin approximation of H_m(n) for large n.
 
     For m = 1 this is ``ln n + gamma + 1/(2n) - 1/(12 n^2) + ...``; for
-    2 <= m <= ZETA_MAX it is ``zeta(m)`` minus the tail estimate, and a
-    larger m raises ValueError.  ``terms`` counts the Bernoulli correction
-    terms; with ``terms >= 4`` the result agrees with the exact value to
-    well over 30 digits for n >= 10**4.  :func:`harmonic_enclosure` picks
-    the number of terms itself and bounds the error.
+    m >= 2 it is ``zeta(m)`` minus the tail estimate.  ``terms`` counts the
+    Bernoulli correction terms; with ``terms >= 4`` the result agrees with
+    the exact value to well over 30 digits for n >= 10**4.
+    :func:`harmonic_enclosure` picks the number of terms itself and bounds
+    the error.
     """
     _check_harmonic_args(m, n)
-    check_zeta_order(m)
     if n < 1:
         raise ValueError("asymptotic expansion requires n >= 1")
     if terms < 0:
@@ -203,19 +188,17 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
     half the budget.  For f(x) = x^-m every derivative keeps one sign, so
     the remainder lies between zero and that first omitted term (Graham,
     Knuth & Patashnik, *Concrete Mathematics*, section 9.5).  ``bound`` adds
-    to it the error of the embedded constant and of the rounding in the
-    evaluation, and never exceeds 10^-digits: when the terms start to grow
+    to it the rounding in the evaluation, mpmath's gamma or zeta(m)
+    included, and never exceeds 10^-digits: when the terms start to grow
     before one falls below the budget (n too small for the digits asked),
-    or the constant's literal is too short, :class:`EnclosureError` is
-    raised instead.  The value carries ``digits + 10`` significant digits.
+    or the rounding alone exceeds it, :class:`EnclosureError` is raised
+    instead.  The value carries ``digits + 10`` significant digits.
     """
     _check_harmonic_args(m, n)
-    check_zeta_order(m)
     if n < 1:
         raise ValueError("asymptotic expansion requires n >= 1")
     if not isinstance(digits, int) or digits < 1:
         raise ValueError(f"digits must be a positive integer, got {digits!r}")
-    literal = _GAMMA if m == 1 else _ZETA[m]
     with mp.workdps(digits + 10):
         budget = mpf(10) ** -digits
         nn = mpf(n)
@@ -232,38 +215,29 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
                 )
             value -= term
             previous = abs(term)
-        # The base term and 1/(2 n^m) take 8 rounded operations and each
-        # subtracted term at most 5, every one on a quantity no larger than
-        # |value| + 1 and off by at most 2^(1-prec) of it (mpmath's log and
-        # integer powers stay within an ulp); 4 * (used + 8) covers them.
-        rounding = 4 * (used + 8) * mpf(2) ** (1 - mp.prec) * (abs(value) + 1)
-        literal_error = mpf(10) ** -len(literal.partition(".")[2])
-        bound = abs(term) + literal_error + rounding
+        # The base term and 1/(2 n^m) take 9 rounded operations, gamma or
+        # zeta(m) itself counted as one, and each subtracted term at most 5,
+        # every one on a quantity no larger than |value| + 1 and off by at
+        # most 2^(1-prec) of it (mpmath's constants, log and integer powers
+        # stay within an ulp); 4 * (used + 9) covers them.
+        rounding = 4 * (used + 9) * mpf(2) ** (1 - mp.prec) * (abs(value) + 1)
+        bound = abs(term) + rounding
         if bound > budget:
             raise EnclosureError(
-                f"H_{m}({n}) cannot be enclosed to 10^-{digits}: the embedded "
-                f"constant and the rounding leave an error bound of {mp.nstr(bound, 3)}"
+                f"H_{m}({n}) cannot be enclosed to 10^-{digits}: the "
+                f"rounding leaves an error bound of {mp.nstr(bound, 3)}"
             )
         return value, bound
 
 
-def check_zeta_order(m: int) -> None:
-    """Reject H_m whose limit zeta(m) is not embedded (m > ZETA_MAX)."""
-    if m > ZETA_MAX:
-        raise ValueError(
-            f"asymptotic substitution of H_{m} needs zeta({m}); "
-            f"only m <= ZETA_MAX = {ZETA_MAX} is embedded"
-        )
-
-
 # -----------------------------------------------------------------------
-# Embedded constants
+# Constants
 # -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Constants:
-    """gamma, pi and zeta(2..8) rounded to ``precision`` significant digits."""
+    """gamma, pi and zeta(2..8), carried to ``precision + 10`` significant digits."""
 
     gamma: mpf
     pi: mpf
@@ -275,19 +249,19 @@ def constants(precision: int = MIN_PRECISION) -> Constants:
     """The mathematical constants used by the asymptotic evaluations.
 
     ``precision`` is the number of significant decimal digits and must lie
-    in [50, 100]; the embedded reference literals carry 120 digits.
+    in [MIN_PRECISION, MAX_PRECISION]; the values are mpmath's, rounded to
+    ``precision + 10`` digits.
     """
-    if not isinstance(precision, int) or precision < MIN_PRECISION:
-        raise ValueError(f"precision below {MIN_PRECISION} rejected, got {precision!r}")
-    if precision > MAX_PRECISION:
+    if not (isinstance(precision, int) and MIN_PRECISION <= precision <= MAX_PRECISION):
         raise ValueError(
-            f"precision above {MAX_PRECISION} exceeds the embedded literal accuracy"
+            f"constants() takes precision {MIN_PRECISION}..{MAX_PRECISION}, "
+            f"got {precision!r}"
         )
     with mp.workdps(precision + 10):
         return Constants(
-            gamma=mpf(_GAMMA),
-            pi=mpf(_PI),
-            zeta={m: mpf(s) for m, s in _ZETA.items()},
+            gamma=+mp.euler,
+            pi=+mp.pi,
+            zeta={m: mp.zeta(m) for m in range(2, 9)},
             precision=precision,
         )
 
@@ -298,10 +272,17 @@ def constants(precision: int = MIN_PRECISION) -> Constants:
 
 
 def check_precision(precision: int) -> None:
-    """Reject a precision outside :data:`PRECISION_RANGE`."""
+    """Reject a precision that is not an integer in :data:`PRECISION_RANGE`."""
     lo, hi = PRECISION_RANGE
-    if not lo <= precision <= hi:
-        raise ValueError(f"precision must lie in [{lo}, {hi}]")
+    if (
+        not isinstance(precision, int)
+        or isinstance(precision, bool)
+        or not lo <= precision <= hi
+    ):
+        raise ValueError(
+            f"precision must be an integer in PRECISION_RANGE = [{lo}, {hi}], "
+            f"got {precision!r}"
+        )
 
 
 def guarded_constants(precision: int, guard: int) -> Constants:
@@ -309,6 +290,7 @@ def guarded_constants(precision: int, guard: int) -> Constants:
 
     This is how every evaluation at an accepted precision asks for its
     constants: the guard digits absorb rounding in the evaluation, and the
-    clamp keeps the request inside what the embedded literals can serve.
+    clamp keeps every precision's guard digits, and so its outputs, as they
+    are (see :data:`MIN_PRECISION`).
     """
     return constants(min(max(precision + guard, MIN_PRECISION), MAX_PRECISION))

@@ -7,6 +7,8 @@ also checked against the fixed-point moment recursion built in conftest,
 which reaches the limits without any moment data.
 """
 
+from math import factorial, prod
+
 import pytest
 from mpmath import mp, mpf
 
@@ -20,7 +22,14 @@ from qsa.asymptotics import (
 )
 from qsa.errors import StabilityError
 from qsa.fitting import HarmonicExpr, known_central_moment, known_mean
-from qsa.numeric import PRECISION_RANGE, ZETA_MAX, constants
+from qsa.distribution import tail_probability
+from qsa.numeric import (
+    PRECISION_RANGE,
+    bernoulli,
+    constants,
+    harmonic,
+    harmonic_asymptotic,
+)
 
 
 def closed_form_limit(r: int) -> mpf:
@@ -159,34 +168,57 @@ class TestLowestPrecision:
             assert abs(val - mpf("2.88539008")) < mpf("5e-9")
 
 
-class TestZetaTableBound:
-    """H_m with m > ZETA_MAX has no embedded zeta(m) to substitute; every
-    asymptotic substitution rejects it with a ValueError naming the bound."""
+def tail_sum_zeta(m: int) -> mpf:
+    """zeta(m) from exact H_m(200) plus its Euler-Maclaurin tail, at 95 digits.
 
-    expr = HarmonicExpr.variable() ** 5 * HarmonicExpr.harmonic(ZETA_MAX + 1)
+    The same route as ``test_numeric``'s check of constants().zeta.
+    """
+    n = 200
+    exact = harmonic(m, n)
+    with mp.workdps(95):
+        val = mpf(exact.numerator) / mpf(exact.denominator)
+        val += mpf(n) ** (1 - m) / (m - 1)
+        val -= mpf(1) / (2 * mpf(n) ** m)
+        for k in range(1, 21):
+            coeff = (
+                bernoulli(2 * k) * prod(range(m, m + 2 * k - 1)) / factorial(2 * k)
+            )
+            val += (
+                mpf(coeff.numerator)
+                / mpf(coeff.denominator)
+                / mpf(n) ** (m + 2 * k - 1)
+            )
+        return val
+
+
+class TestBeyondZetaEight:
+    """H_m with m > 8, whose zeta(m) constants() does not list, substitutes
+    like any other H_m; the truth is the tail-sum zeta(9)."""
+
+    N, H9 = HarmonicExpr.variable(), HarmonicExpr.harmonic(9)
 
     def test_scaled_moment_limit(self):
-        with pytest.raises(ValueError, match="ZETA_MAX"):
-            scaled_moment_limit(9, self.expr, known_central_moment(2))
+        av = scaled_moment_limit(9, self.N**9 * self.H9, known_central_moment(2))
+        with mp.workdps(90):
+            truth = tail_sum_zeta(9) / (7 - 4 * tail_sum_zeta(2)) ** (mpf(9) / 2)
+            assert agreeing_digits(av.value, truth) >= 45
 
     def test_leading_coefficient(self):
-        with pytest.raises(ValueError, match="ZETA_MAX"):
-            leading_coefficient(self.expr)
-
-    def test_evaluate_asymptotic(self):
-        with pytest.raises(ValueError, match="ZETA_MAX"):
-            evaluate_asymptotic(self.expr, 10**6)
+        lead = leading_coefficient(self.N**5 * self.H9)
+        with mp.workdps(90):
+            assert agreeing_digits(lead, tail_sum_zeta(9)) >= 45
 
 
 class TestFiniteSizeDiagnostics:
     def test_asymptotic_evaluation_matches_exact(self):
-        expr = known_central_moment(2)
         n = 2000
-        exact = expr.evaluate(n)
-        with mp.workdps(60):
-            approx = evaluate_asymptotic(expr, n, precision=50, terms=6)
-            truth = mpf(exact.numerator) / mpf(exact.denominator)
-            assert abs(approx - truth) / truth < mpf(10) ** -40
+        N, H9 = HarmonicExpr.variable(), HarmonicExpr.harmonic(9)
+        for expr in (known_central_moment(2), N**5 * H9):
+            exact = expr.evaluate(n)
+            with mp.workdps(60):
+                approx = evaluate_asymptotic(expr, n, precision=50, terms=6)
+                truth = mpf(exact.numerator) / mpf(exact.denominator)
+                assert abs(approx - truth) / truth < mpf(10) ** -40, expr
 
     def test_mean_growth_constant(self):
         val = mean_asymptotic_check(50)
@@ -228,3 +260,28 @@ class TestFiniteSizeDiagnostics:
             gap = abs(finite - ratio_limit)
             assert mpf("1e-4") < gap < mpf("0.1")
             assert mpf("0.005") < gap * mp.log(n) < mpf("1")
+
+
+@pytest.mark.parametrize("precision", [50.5, 60.0])
+@pytest.mark.parametrize(
+    "evaluation",
+    [
+        lambda p: scaled_moment_limit(
+            3, known_central_moment(3), known_central_moment(2), p
+        ),
+        lambda p: leading_coefficient(known_central_moment(2), p),
+        lambda p: tail_probability(10**4, 160000, surrogate_n=30, precision=p),
+        lambda p: harmonic_asymptotic(1, 10**4, precision=p),
+        lambda p: evaluate_asymptotic(known_mean(), 10**4, p),
+    ],
+    ids=[
+        "scaled_moment_limit",
+        "leading_coefficient",
+        "tail_probability",
+        "harmonic_asymptotic",
+        "evaluate_asymptotic",
+    ],
+)
+def test_non_integer_precision_rejected(evaluation, precision):
+    with pytest.raises(ValueError, match="PRECISION_RANGE"):
+        evaluation(precision)

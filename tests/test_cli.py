@@ -101,9 +101,11 @@ class TestGuessCommand:
             raise AssertionError("moment data built")
 
         monkeypatch.setattr("qsa.fitting.moment_table", no_data)
-        result = runner.invoke(cli, ["guess", "--r", "11"])
-        assert result.exit_code == 1
-        assert "order 11 exceeds series truncation 10" in result.output
+        for r in (9, 10, 11):
+            result = runner.invoke(cli, ["guess", "--r", str(r)])
+            assert result.exit_code == 1
+            assert f"order {r} exceeds MAX_FIT_ORDER = 8" in result.output
+            assert "970-monomial template" in result.output
 
 
 class TestLimitsCommand:
@@ -123,7 +125,8 @@ class TestLimitsCommand:
         monkeypatch.setattr("qsa.cli.guess_moment", no_fit)
         result = runner.invoke(cli, ["limits", "--r", "3..9"])
         assert result.exit_code == 1
-        assert "ZETA_MAX = 8" in result.output
+        assert "moment order 9 exceeds MAX_FIT_ORDER = 8" in result.output
+        assert "970-monomial template" in result.output
 
 
 class TestDistributionCommands:

@@ -1,9 +1,9 @@
 """Exact harmonic numbers, Euler-Maclaurin asymptotics, and constants.
 
-The embedded constant literals are re-derived here through independent
-routes: gamma from exact harmonic numbers minus the log and tail
-corrections, zeta(m) from tail-accelerated exact partial sums, pi from
-mpmath's own algorithmic computation.
+The constants, which the package takes from mpmath, are re-derived here
+through independent routes: gamma from exact harmonic numbers minus the log
+and tail corrections, zeta(m) from tail-accelerated exact partial sums, pi
+from Machin's formula.
 """
 
 from fractions import Fraction
@@ -18,7 +18,6 @@ from qsa.errors import EnclosureError
 from qsa.numeric import (
     _PREFIX_LIMIT,
     MAX_PRECISION,
-    ZETA_MAX,
     bernoulli,
     constants,
     harmonic,
@@ -134,7 +133,8 @@ class TestHarmonicAsymptotic:
             assert abs(approx - truth) < mpf(10) ** -30
 
     def test_thirty_digit_agreement_at_1e4_all_m(self):
-        for m in (1, 2, 3, 5):
+        # m = 9 is beyond the zeta(2..8) of constants()
+        for m in (1, 2, 3, 5, 9):
             exact = harmonic(m, 10**4)
             with mp.workdps(70):
                 truth = mpf(exact.numerator) / mpf(exact.denominator)
@@ -164,10 +164,6 @@ class TestHarmonicAsymptotic:
                     ]
                 assert all(a > b for a, b in zip(errs, errs[1:])), (m, n, errs)
 
-    def test_exponent_beyond_zeta_table_rejected(self):
-        with pytest.raises(ValueError, match="ZETA_MAX"):
-            harmonic_asymptotic(ZETA_MAX + 1, 10**4)
-
     def test_precision_range_enforced(self):
         with pytest.raises(ValueError):
             harmonic_asymptotic(1, 100, 4, precision=10)
@@ -176,9 +172,12 @@ class TestHarmonicAsymptotic:
 
 
 class TestHarmonicEnclosure:
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("n", [_PREFIX_LIMIT + 1, 10**4, 30012])
-    def test_interval_contains_exact_value(self, m, n):
+    @pytest.mark.parametrize(
+        "n,m",
+        [(n, m) for n in (_PREFIX_LIMIT + 1, 10**4, 30012) for m in (1, 2)]
+        + [(_PREFIX_LIMIT + 1, 9), (10**4, 9)],
+    )
+    def test_interval_contains_exact_value(self, n, m):
         # the digits tail_probability asks for at each precision
         exact = harmonic(m, n)
         for precision in (30, 50, 100):
@@ -196,10 +195,12 @@ class TestHarmonicEnclosure:
         with mp.workdps(40):
             assert abs(value - mpf(exact.numerator) / exact.denominator) <= bound
 
-    def test_digits_beyond_the_constants_raise(self):
-        # zeta(2) is embedded to 119 decimals
-        with pytest.raises(EnclosureError, match="embedded constant"):
-            harmonic_enclosure(2, 10**6, 125)
+    def test_digits_beyond_120_enclose_the_exact_value(self):
+        value, bound = harmonic_enclosure(2, 10**4, 130)
+        exact = harmonic(2, 10**4)
+        with mp.workdps(TRUTH_DIGITS + 20):
+            assert bound < mpf(10) ** -130
+            assert abs(mpf(exact.numerator) / exact.denominator - value) <= bound
 
 
 class TestConstants:
@@ -267,9 +268,19 @@ class TestConstants:
                     )
                 assert abs(val - c.zeta[m]) < mpf(10) ** -70, m
 
-    def test_pi_against_mpmath(self):
-        with mp.workdps(110):
-            assert abs(constants(100).pi - mp.pi) < mpf(10) ** -99
+    def test_pi_against_machin_formula(self):
+        # pi = 16 arctan(1/5) - 4 arctan(1/239), arctan(1/x) by its series
+        def arctan_inverse(x):
+            total, power, k = mpf(0), mpf(1) / x, 0
+            while power > mpf(10) ** -120:
+                total += (-1) ** k * power / (2 * k + 1)
+                power /= x * x
+                k += 1
+            return total
+
+        with mp.workdps(120):
+            machin = 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
+            assert abs(constants(100).pi - machin) < mpf(10) ** -99
 
     def test_doubled_precision_recomputation(self):
         # HighReal error-bound invariant: values at dps 50 vs dps 100 agree
