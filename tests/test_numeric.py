@@ -133,8 +133,7 @@ class TestHarmonicAsymptotic:
             assert abs(approx - truth) < mpf(10) ** -30
 
     def test_thirty_digit_agreement_at_1e4_all_m(self):
-        # m = 9 is beyond the zeta(2..8) of constants()
-        for m in (1, 2, 3, 5, 9):
+        for m in (1, 2, 3, 5):
             exact = harmonic(m, 10**4)
             with mp.workdps(70):
                 truth = mpf(exact.numerator) / mpf(exact.denominator)
@@ -163,6 +162,15 @@ class TestHarmonicAsymptotic:
                         for t in terms_range
                     ]
                 assert all(a > b for a, b in zip(errs, errs[1:])), (m, n, errs)
+
+    def test_exponent_beyond_zeta_table_rejected(self):
+        # m = 9 was rejected while zeta(m) came from a table of m = 2..8;
+        # zeta(9) now comes from mpmath, so H_9 is expanded like any H_m
+        exact = harmonic(9, 10**4)
+        with mp.workdps(70):
+            truth = mpf(exact.numerator) / mpf(exact.denominator)
+            approx = harmonic_asymptotic(9, 10**4, terms=4, precision=60)
+            assert abs(approx - truth) < mpf(10) ** -30
 
     def test_precision_range_enforced(self):
         with pytest.raises(ValueError):
