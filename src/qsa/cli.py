@@ -256,8 +256,8 @@ def limits(r_range, precision, out):
     """Limiting scaled moments from freshly fitted closed forms.
 
     One JSON object per line.  Orders 7 and 8 need moment data up to
-    n = 758 and take a few minutes on first use; orders above
-    ``fitting.MAX_FIT_ORDER`` (8) fail at once.
+    n = 758: order 8 takes 35-40 s on first use on a 2-CPU machine
+    without gmpy2.  Orders above ``fitting.MAX_FIT_ORDER`` (8) fail at once.
     """
     lo, hi = r_range
     if lo < 2:

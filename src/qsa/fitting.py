@@ -32,7 +32,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from mpmath import mpf
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
-from .moments import moment_table
+from .moments import _moment_values, moment_table
 from .numeric import harmonic
 
 VERIFIED = "verified"
@@ -112,11 +112,19 @@ class HarmonicExpr:
         expr = 7*N**2 + 13*N - 4*(N + 1)**2 * H2 - ...
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_groups")
 
     def __init__(self, terms: Mapping[Monomial, Fraction]):
         clean = {m: Fraction(c) for m, c in terms.items() if c}
         self._terms = clean
+        parts: dict[tuple[tuple[int, int], ...], dict[int, Fraction]] = {}
+        for mono, coeff in clean.items():
+            parts.setdefault(mono.h_powers, {})[mono.n_power] = coeff
+        self._groups = []
+        for h_powers, poly in parts.items():
+            den = lcm(*(c.denominator for c in poly.values()))
+            nums = [int(poly.get(a, 0) * den) for a in range(max(poly), -1, -1)]
+            self._groups.append((h_powers, nums, den))
 
     # -- constructors ---------------------------------------------------
 
@@ -242,19 +250,22 @@ class HarmonicExpr:
     # -- evaluation / serialization ---------------------------------------
 
     def evaluate(self, n: int) -> Fraction:
-        """Exact value at integer n >= 1 using exact harmonic numbers."""
-        if not isinstance(n, int) or n < 1:
+        """Exact value at integer n >= 1 using exact harmonic numbers.
+
+        Terms are grouped by harmonic part when the expression is built: a
+        group's polynomial in n is evaluated in integers over the lcm of its
+        denominators, then multiplied once by its harmonic numbers.
+        """
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("harmonic expressions are evaluated at integer n >= 1")
         total = Fraction(0)
-        powers: dict[tuple[int, int], Fraction] = {}
-        for mono, coeff in self._terms.items():
-            val = coeff * Fraction(n) ** mono.n_power
-            for m, e in mono.h_powers:
-                key = (m, e)
-                p = powers.get(key)
-                if p is None:
-                    p = powers[key] = harmonic(m, n) ** e
-                val *= p
+        for h_powers, nums, den in self._groups:
+            poly = 0
+            for c in nums:  # Horner, from n^top down
+                poly = poly * n + c
+            val = Fraction(poly, den)
+            for m, e in h_powers:
+                val *= harmonic(m, n) ** e
             total += val
         return total
 
@@ -627,7 +638,10 @@ def _moment_data(r: int, n_max: int) -> Mapping[int, Fraction]:
         hit = _data_cache.get(key)
         if hit is not None and hit[0] >= n_max:
             return hit[1]
-    values = moment_table(n_max, r, kind=kind).values
+    if hit is None:  # the first build cross-checks against the exact route
+        values = moment_table(n_max, r, kind=kind).values
+    else:  # a longer window computes only its new points
+        values = {**hit[1], **_moment_values(r, kind, range(hit[0] + 1, n_max + 1))}
     with _data_lock:
         _data_cache[key] = (n_max, values)
     return values

@@ -13,11 +13,18 @@ Two routes are implemented:
   which is far cheaper than full PGFs when only low moments are wanted.
 
 As in the PGF builder, the series recurrence is scaled by n! so every
-stored coefficient is a non-negative integer.  Truncation is harmless for
-the retained orders: the first M+1 coefficients of a truncated product
-equal those of the full product.  So the one shared table keeps only the
-orders asked of it so far: a moment table of order r raises it to order r,
-which computes just the new coefficients of the rows it reads.
+stored coefficient G_n[s] = n! [w^s] g_n(1+w) is a non-negative integer.
+Truncation is harmless for the retained orders: the first M+1 coefficients
+of a truncated product equal those of the full product.  So the one shared
+table keeps only the orders asked of it so far: a moment table of order r
+raises it to order r, which computes just the new coefficients of the rows
+it reads.  Row n's pivot sum at order s is
+``sum_k C(n-1,k-1) sum_j G_{k-1}[j] G_{n-k}[s-j]``.  Its j = 0 and j = s
+terms each equal P_n[s] = sum_m (n-1)!/m! G_m[s], as C(n-1,k-1) (k-1)! =
+(n-1)!/(n-k)!; P_n = (n-1) P_{n-1} + G_{n-1} is carried along the ascending
+walk over n, with the Pascal row C(n-1, .).  The terms j and s - j are equal,
+each one dot product over the pivots of C(n-1, .) times column j with
+column s - j reversed, so the table is stored by column.
 
 Whenever both routes exist the exact-PGF route is authoritative; bulk
 tables built from the series route cross-check their first few entries
@@ -28,11 +35,12 @@ agreement).
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 
 from ._intops import big, big_gcd
 from .errors import CrossCheckError
@@ -62,80 +70,83 @@ class MomentTable:
 class SeriesCache:
     """Bottom-up table of truncated expansions of g_n around t = 1.
 
-    Rows hold the integer vectors n! * [w^r] g_n(1+w) for r = 0..order, as
-    immutable tuples.  The table grows in two directions: ``raise_order``
-    raises the truncation order, and ``ensure(n)`` brings rows 0..n up to it,
-    appending the coefficients a stored row lacks and building the rows not
-    yet there.  Rows above n keep their order until they are asked for.
-    Truncation is exact, so a row's first coefficients never change when the
-    order is raised; each coefficient is computed once, whichever order the
-    table was grown in.
+    ``row(n)`` hands out G_n[0..order] as an immutable tuple; the table is
+    stored once, by column.  ``raise_order`` raises the truncation order,
+    and ``ensure(n)`` brings rows 0..n up to it, appending the coefficients
+    a stored row lacks and building the rows not yet there.  Rows above n
+    keep their order until they are asked for.  Truncation is exact, so each
+    coefficient is computed once, whichever order the table was grown in.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
-        self._rows: list[tuple] = []
-        # pre-binomial pivot sums of each row (None for n <= 1): raising the
-        # order needs all of them, not only the new coefficients
-        self._acc: list[list | None] = []
-        # rows below this hold every order through self.order; the stored
-        # rows from it on hold fewer, and no more than the row below them
-        self._full = 0
+        # per order s: G_n[s] for n = 0, 1, ... (no column is longer than the
+        # one before it); the pre-binomial pivot sums in the same shape, which
+        # raising the order reads; and P_n[s] of the column's last row n
+        self._cols: defaultdict[int, list] = defaultdict(list)
+        self._accs: defaultdict[int, list] = defaultdict(list)
+        self._p: defaultdict[int, int] = defaultdict(int)
+        self._binom = [big(1)]  # C(n-1, .) of the row built last
         self._lock = threading.RLock()
 
     def _extend(self, n: int, lo: int, hi: int) -> None:
         """Compute coefficients lo..hi of row n from the rows below it.
 
-        lo = 0 appends a new row; otherwise row n holds the orders below lo.
-        Rows below n hold orders through hi.
+        Row n holds the orders below lo, rows below n hold orders through
+        hi, and the walk of ``ensure`` built row n-1 last.
         """
+        cols, accs, orders = self._cols, self._accs, range(lo, hi + 1)
+        p = [(n - 1) * self._p[s] + cols[s][n - 1] if n else 0 for s in orders]
         if n <= 1:
-            new = [big(int(r == 0)) for r in range(lo, hi + 1)]
-            acc = None
+            binom = [big(1)]
+            new = acc = [big(int(s == 0)) for s in orders]
         else:
-            rows = self._rows
-            acc = (self._acc[n] if lo else []) + [big(0)] * (hi + 1 - lo)
-            # pivots k and n+1-k give the same product; the middle one of an
-            # odd n stands alone
-            for k in range(1, (n + 1) // 2 + 1):
-                w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
-                a, b = rows[k - 1], rows[n - k]
-                for r in range(lo, hi + 1):  # [w^r] of the truncated a * b
-                    acc[r] += w * sum(map(mul, a[: r + 1], b[r::-1]))
-            binom = [big(comb(n - 1, j)) for j in range(hi + 1)]
-            new = [sum(map(mul, acc[: r + 1], binom[r::-1])) for r in range(lo, hi + 1)]
+            binom = [big(1), *map(add, self._binom, self._binom[1:]), big(1)]
+            cross = dict.fromkeys(orders, 0)
+            for j in range(1, hi // 2 + 1):
+                weighted = list(map(mul, binom, cols[j]))  # shared by every s
+                for s in orders:
+                    if j < s - j:  # the terms j and s - j give the same sum
+                        rev = cols[s - j][n - 1 :: -1]
+                        cross[s] += 2 * sum(map(mul, weighted, rev))
+                    elif j == s - j:  # pivots m and n-1-m give the same product
+                        col, h = cols[j], n // 2
+                        rev = col[n - 1 : n - 1 - h : -1]
+                        cross[s] += 2 * sum(map(mul, weighted[:h], rev))
+                        cross[s] += weighted[h] * col[h] if n % 2 else 0
+            acc = [2 * p_s + cross[s] if s else p_s for s, p_s in zip(orders, p)]
+            full = [accs[i][n] for i in range(lo)] + acc
+            bt = binom[: hi + 1] + [big(0)] * (hi + 1 - n)
+            new = [sum(map(mul, full[: s + 1], bt[s::-1])) for s in orders]
             if lo == 0 and new[0] != factorial(n):  # n! * g_n(1)
                 raise CrossCheckError(f"series row at n={n} does not total n!")
-        if lo == 0:
-            self._rows.append(tuple(new))
-            self._acc.append(acc)
-        else:
-            self._rows[n] += tuple(new)
-            self._acc[n] = acc
+        for s, value, a, p_s in zip(orders, new, acc, p):
+            cols[s].append(value)
+            accs[s].append(a)
+            self._p[s] = p_s
+        self._binom = binom
 
     def ensure(self, n: int) -> None:
         """Bring rows 0..n to the current order, in ascending n."""
         with self._lock:
-            while self._full <= n:
-                m = self._full
-                lo = len(self._rows[m]) if m < len(self._rows) else 0
+            # rows below the length of the top column hold every order
+            for m in range(len(self._cols.get(self.order, ())), n + 1):
+                lo = sum(len(col) > m for col in self._cols.values())
                 self._extend(m, lo, self.order)
-                self._full += 1
 
     def raise_order(self, order: int) -> None:
         """Raise the order to at least ``order``; ``ensure`` fills rows in."""
         with self._lock:
-            if order > self.order:
-                self.order = order
-                self._full = 0
+            self.order = max(self.order, order)
 
     def row(self, n: int) -> tuple:
         if n < 0:
             raise ValueError("n must be non-negative")
-        self.ensure(n)
-        return self._rows[n]
+        with self._lock:
+            self.ensure(n)
+            return tuple(col[n] for col in self._cols.values())
 
 
 _shared_series = SeriesCache(order=0)
@@ -154,7 +165,6 @@ def series_cache(order: int = DEFAULT_ORDER) -> SeriesCache:
 def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
     """Truncated expansions of g_n(1+w) for n = 0..n_max."""
     cache = series_cache(order)
-    cache.ensure(n_max)
     out = []
     for n in range(n_max + 1):
         nf = factorial(n)
@@ -228,6 +238,30 @@ def central_moment(n: int, r: int) -> Fraction:
 # -----------------------------------------------------------------------
 
 
+def _moment_values(r: int, kind: str, ns: range) -> dict[int, Fraction]:
+    """Moments of order r and ``kind`` at every n in ``ns``, from the shared table."""
+    cache = series_cache(r)
+    values: dict[int, Fraction] = {}
+    for n in ns:
+        row = cache.row(n)
+        nf = factorial(n)
+        if kind == "raw":
+            num, den = int(_stirling_transform(row, r)), nf
+        else:
+            raws = [int(_stirling_transform(row, j)) for j in range(r + 1)]
+            # with the mean reduced to a/b, the sum is over nf * b^r, far
+            # below nf^(r+1)
+            g = big_gcd(raws[1], nf)
+            a, b = raws[1] // g, nf // g
+            num = sum(
+                comb(r, j) * (-a) ** (r - j) * raws[j] * b**j for j in range(r + 1)
+            )
+            den = nf * b**r
+        g = big_gcd(num, den)
+        values[n] = Fraction(num // g, den // g)
+    return values
+
+
 def moment_table(
     n_max: int,
     r: int,
@@ -248,26 +282,7 @@ def moment_table(
         raise ValueError(f"unknown moment kind {kind!r}")
     if r < 0 or (kind == "central" and r < 1):
         raise ValueError("invalid moment order")
-    cache = series_cache(r)
-    cache.ensure(n_max)
-    values: dict[int, Fraction] = {}
-    for n in range(n_max + 1):
-        row = cache.row(n)
-        nf = factorial(n)
-        if kind == "raw":
-            num, den = int(_stirling_transform(row, r)), nf
-        else:
-            raws = [int(_stirling_transform(row, j)) for j in range(r + 1)]
-            nf_pow = [1]
-            for _ in range(r):
-                nf_pow.append(nf_pow[-1] * nf)
-            num = sum(
-                comb(r, j) * (-raws[1]) ** (r - j) * raws[j] * nf_pow[j]
-                for j in range(r + 1)
-            )
-            den = nf_pow[r] * nf
-        g = big_gcd(num, den)
-        values[n] = Fraction(num // g, den // g)
+    values = _moment_values(r, kind, range(n_max + 1))
     table = MomentTable(order=r, kind=kind, values=values)
     limit = min(cross_check_upto, n_max)
     exact = raw_moment if kind == "raw" else central_moment

@@ -169,8 +169,8 @@ def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> 
     _check_harmonic_args(m, n)
     if n < 1:
         raise ValueError("asymptotic expansion requires n >= 1")
-    if terms < 0:
-        raise ValueError("terms must be non-negative")
+    if not isinstance(terms, int) or isinstance(terms, bool) or terms < 0:
+        raise ValueError(f"terms must be a non-negative integer, got {terms!r}")
     check_precision(precision)
     with mp.workdps(precision + 10):
         nn = mpf(n)
@@ -197,7 +197,7 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
     _check_harmonic_args(m, n)
     if n < 1:
         raise ValueError("asymptotic expansion requires n >= 1")
-    if not isinstance(digits, int) or digits < 1:
+    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 1:
         raise ValueError(f"digits must be a positive integer, got {digits!r}")
     with mp.workdps(digits + 10):
         budget = mpf(10) ** -digits

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qsa.errors import GuessError, InsufficientDataError
 from qsa.fitting import (
@@ -101,6 +103,44 @@ class TestHarmonicExpr:
         expr = known_central_moment(2)
         keys = [m.sort_key(2) for m, _ in expr.canonical_terms()]
         assert keys == sorted(keys)
+
+
+# harmonic parts drawn from a small pool, so that terms share them
+_H_PARTS = [(), ((1, 1),), ((2, 1),), ((1, 2),), ((1, 1), (2, 1)), ((3, 2),)]
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.sampled_from(_H_PARTS),
+        st.fractions(max_denominator=50).filter(bool),
+    ),
+    max_size=12,
+)
+
+
+def _brute_harmonic(m, n):
+    return sum((Fraction(1, i**m) for i in range(1, n + 1)), Fraction(0))
+
+
+class TestGroupedEvaluate:
+    @given(terms=_TERMS, n=st.integers(1, 40))
+    @example(terms=[(0, (), Fraction(1, 3)), (2, (), Fraction(-5, 7))], n=1)
+    @example(
+        terms=[(1, ((1, 1),), Fraction(3, 4)), (3, ((1, 1),), Fraction(1, 6)),
+               (0, ((1, 1), (2, 1)), Fraction(-9, 10))],
+        n=7,
+    )
+    def test_matches_term_by_term_sum(self, terms, n):
+        coeffs = {}
+        for a, h, c in terms:
+            mono = Monomial(a, h)
+            coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
+        expected = Fraction(0)
+        for mono, c in coeffs.items():
+            value = c * n**mono.n_power
+            for m, e in mono.h_powers:
+                value *= _brute_harmonic(m, n) ** e
+            expected += value
+        assert HarmonicExpr(coeffs).evaluate(n) == expected
 
 
 class TestRationalReconstruction:

@@ -15,6 +15,7 @@ from mpmath import mp, mpf
 
 from qsa.distribution import _GUARD
 from qsa.errors import EnclosureError
+from qsa.fitting import known_mean
 from qsa.numeric import (
     _PREFIX_LIMIT,
     MAX_PRECISION,
@@ -209,6 +210,22 @@ class TestHarmonicEnclosure:
         with mp.workdps(TRUTH_DIGITS + 20):
             assert bound < mpf(10) ** -130
             assert abs(mpf(exact.numerator) / exact.denominator - value) <= bound
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: harmonic_asymptotic(1, 10**4, terms=2.5), "terms", id="terms-float"),
+        pytest.param(lambda: harmonic_asymptotic(1, 10**4, terms=True), "terms", id="terms-bool"),
+        pytest.param(lambda: harmonic_asymptotic(1, 10**4, terms=-1), "terms", id="terms-negative"),
+        pytest.param(lambda: harmonic_enclosure(1, 10**4, True), "digits", id="digits-bool"),
+        pytest.param(lambda: harmonic_enclosure(1, 10**4, 40.0), "digits", id="digits-float"),
+        pytest.param(lambda: known_mean().evaluate(True), "integer n", id="evaluate-bool"),
+    ],
+)
+def test_bools_and_non_integers_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestConstants:
