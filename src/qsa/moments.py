@@ -19,12 +19,13 @@ of a truncated product equal those of the full product.  So the one shared
 table keeps only the orders asked of it so far: a moment table of order r
 raises it to order r, which computes just the new coefficients of the rows
 it reads.  Row n's pivot sum at order s is
-``sum_k C(n-1,k-1) sum_j G_{k-1}[j] G_{n-k}[s-j]``.  Its j = 0 and j = s
-terms each equal P_n[s] = sum_m (n-1)!/m! G_m[s], as C(n-1,k-1) (k-1)! =
-(n-1)!/(n-k)!; P_n = (n-1) P_{n-1} + G_{n-1} is carried along the ascending
-walk over n, with the Pascal row C(n-1, .).  The terms j and s - j are equal,
-each one dot product over the pivots of C(n-1, .) times column j with
-column s - j reversed, so the table is stored by column.
+``sum_k C(n-1,k-1) sum_j G_{k-1}[j] G_{n-k}[s-j]``.  For s >= 1 its j = 0
+and j = s terms each equal P_n[s] = sum_m (n-1)!/m! G_m[s], as
+C(n-1,k-1) (k-1)! = (n-1)!/(n-k)!; P_n = (n-1) P_{n-1} + G_{n-1} is carried
+along the ascending walk over n, with the Pascal row C(n-1, .).  The terms j
+and s - j are equal, each one dot product over the pivots of C(n-1, .) times
+column j with column s - j reversed (the table is stored by column); at
+s = 0, column 0 with itself, so the n! check reads every stored row.
 
 Whenever both routes exist the exact-PGF route is authoritative; bulk
 tables built from the series route cross-check their first few entries
@@ -35,7 +36,6 @@ agreement).
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -81,15 +81,13 @@ class SeriesCache:
     def __init__(self, order: int = DEFAULT_ORDER):
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.order = order
-        # per order s: G_n[s] for n = 0, 1, ... (no column is longer than the
-        # one before it); the pre-binomial pivot sums in the same shape, which
-        # raising the order reads; and P_n[s] of the column's last row n
-        self._cols: defaultdict[int, list] = defaultdict(list)
-        self._accs: defaultdict[int, list] = defaultdict(list)
-        self._p: defaultdict[int, int] = defaultdict(int)
+        # per order s (see raise_order): G_n[s] for n = 0, 1, ..., no longer
+        # than column s - 1; its pre-binomial pivot sums; P_n[s] of its last n
+        self._cols, self._accs, self._p = [], [], []
+        self.order = -1
         self._binom = [big(1)]  # C(n-1, .) of the row built last
         self._lock = threading.RLock()
+        self.raise_order(order)
 
     def _extend(self, n: int, lo: int, hi: int) -> None:
         """Compute coefficients lo..hi of row n from the rows below it.
@@ -98,17 +96,18 @@ class SeriesCache:
         hi, and the walk of ``ensure`` built row n-1 last.
         """
         cols, accs, orders = self._cols, self._accs, range(lo, hi + 1)
-        p = [(n - 1) * self._p[s] + cols[s][n - 1] if n else 0 for s in orders]
+        p = [(n - 1) * self._p[s] + cols[s][n - 1] if n and s else 0 for s in orders]
         if n <= 1:
             binom = [big(1)]
             new = acc = [big(int(s == 0)) for s in orders]
         else:
             binom = [big(1), *map(add, self._binom, self._binom[1:]), big(1)]
             cross = dict.fromkeys(orders, 0)
-            for j in range(1, hi // 2 + 1):
-                weighted = list(map(mul, binom, cols[j]))  # shared by every s
+            for j in range(min(lo, 1), hi // 2 + 1):  # j = 0 only for order 0
+                # shared by every s; order 0 reads only the first half
+                weighted = list(map(mul, binom, cols[j][: n if j else n // 2 + 1]))
                 for s in orders:
-                    if j < s - j:  # the terms j and s - j give the same sum
+                    if 0 < j < s - j:  # the terms j and s - j give the same sum
                         rev = cols[s - j][n - 1 :: -1]
                         cross[s] += 2 * sum(map(mul, weighted, rev))
                     elif j == s - j:  # pivots m and n-1-m give the same product
@@ -116,7 +115,7 @@ class SeriesCache:
                         rev = col[n - 1 : n - 1 - h : -1]
                         cross[s] += 2 * sum(map(mul, weighted[:h], rev))
                         cross[s] += weighted[h] * col[h] if n % 2 else 0
-            acc = [2 * p_s + cross[s] if s else p_s for s, p_s in zip(orders, p)]
+            acc = [2 * p_s + cross[s] for s, p_s in zip(orders, p)]
             full = [accs[i][n] for i in range(lo)] + acc
             bt = binom[: hi + 1] + [big(0)] * (hi + 1 - n)
             new = [sum(map(mul, full[: s + 1], bt[s::-1])) for s in orders]
@@ -132,13 +131,17 @@ class SeriesCache:
         """Bring rows 0..n to the current order, in ascending n."""
         with self._lock:
             # rows below the length of the top column hold every order
-            for m in range(len(self._cols.get(self.order, ())), n + 1):
-                lo = sum(len(col) > m for col in self._cols.values())
+            for m in range(len(self._cols[self.order]), n + 1):
+                lo = sum(len(col) > m for col in self._cols)
                 self._extend(m, lo, self.order)
 
     def raise_order(self, order: int) -> None:
         """Raise the order to at least ``order``; ``ensure`` fills rows in."""
         with self._lock:
+            for _ in range(self.order, order):
+                self._cols.append([])
+                self._accs.append([])
+                self._p.append(0)
             self.order = max(self.order, order)
 
     def row(self, n: int) -> tuple:
@@ -146,7 +149,7 @@ class SeriesCache:
             raise ValueError("n must be non-negative")
         with self._lock:
             self.ensure(n)
-            return tuple(col[n] for col in self._cols.values())
+            return tuple(col[n] for col in self._cols)
 
 
 _shared_series = SeriesCache(order=0)
@@ -243,14 +246,12 @@ def _moment_values(r: int, kind: str, ns: range) -> dict[int, Fraction]:
     cache = series_cache(r)
     values: dict[int, Fraction] = {}
     for n in ns:
-        row = cache.row(n)
-        nf = factorial(n)
+        row, nf = cache.row(n), factorial(n)
         if kind == "raw":
             num, den = int(_stirling_transform(row, r)), nf
         else:
             raws = [int(_stirling_transform(row, j)) for j in range(r + 1)]
-            # with the mean reduced to a/b, the sum is over nf * b^r, far
-            # below nf^(r+1)
+            # with the mean reduced to a/b, the sum is over nf * b^r, not nf^(r+1)
             g = big_gcd(raws[1], nf)
             a, b = raws[1] // g, nf // g
             num = sum(
