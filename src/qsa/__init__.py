@@ -7,25 +7,14 @@ for the mean and central moments (rediscovered by fitting harmonic-number
 templates to exact data and verifying with zero residuals), limiting
 scaled-moment constants, and tail probabilities of the scaled
 distribution, plus an independent simulator used as ground truth.
+
+Importing the package loads only the exception types and the exact-PGF
+layer.  Every other public name is imported from its submodule on first
+access (PEP 562), so a program that never touches, say, the fitting layer
+never pays for it or for mpmath.  ``qsa.pgf`` is the function, not the
+submodule, whatever has been imported before.
 """
 
-from .asymptotics import (
-    AsymptoticValue,
-    coefficient_of_variation,
-    evaluate_asymptotic,
-    leading_coefficient,
-    mean_asymptotic_check,
-    mean_over_nlogn,
-    scaled_moment_limit,
-)
-from .distribution import (
-    DensityBin,
-    ScaledDistribution,
-    TailEstimate,
-    export_density,
-    scale,
-    tail_probability,
-)
 from .errors import (
     CrossCheckError,
     EnclosureError,
@@ -35,48 +24,51 @@ from .errors import (
     QsaError,
     StabilityError,
 )
-from .fitting import (
-    REFUTED,
-    UNDETERMINED,
-    VERIFIED,
-    FitReport,
-    HarmonicExpr,
-    Monomial,
-    fit,
-    guess_moment,
-    known_central_moment,
-    known_mean,
-    template,
-)
-from .moments import (
-    MomentTable,
-    TruncatedSeries,
-    central_moment,
-    factorial_series,
-    moment_table,
-    moments_from_factorial,
-    raw_moment,
-)
-from .numeric import (
-    Constants,
-    Rational,
-    bernoulli,
-    constants,
-    harmonic,
-    harmonic_asymptotic,
-    harmonic_enclosure,
-)
+
+# Eager on purpose: loading the submodule qsa.pgf sets the package attribute
+# "pgf" to the submodule, and this import rebinds it to the function.  Were the
+# submodule first loaded later, by another submodule's import, the attribute
+# would stay the submodule.
 from .pgf import DistPoly, PgfCache, convolve, pgf, scaled_pgf
-from .simulate import (
-    EmpiricalStats,
-    SimConfig,
-    exhaustive_distribution,
-    monte_carlo,
-    quicksort_count,
-    selection_sort_count,
-)
 
 __version__ = "0.1.0"
+
+# public name -> defining submodule, for every name not imported above
+_LAZY = {
+    name: module
+    for module, names in {
+        "asymptotics": "AsymptoticValue coefficient_of_variation evaluate_asymptotic "
+        "leading_coefficient mean_asymptotic_check mean_over_nlogn scaled_moment_limit",
+        "distribution": "DensityBin ScaledDistribution TailEstimate export_density "
+        "scale tail_probability",
+        "fitting": "REFUTED UNDETERMINED VERIFIED FitReport HarmonicExpr Monomial fit "
+        "guess_moment known_central_moment known_mean template",
+        "moments": "MomentTable TruncatedSeries central_moment factorial_series "
+        "moment_table moments_from_factorial raw_moment",
+        "numeric": "Constants Rational bernoulli constants harmonic harmonic_asymptotic "
+        "harmonic_enclosure",
+        "simulate": "EmpiricalStats SimConfig exhaustive_distribution monte_carlo "
+        "quicksort_count selection_sort_count",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups bypass __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "AsymptoticValue",

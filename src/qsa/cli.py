@@ -9,6 +9,12 @@ QSA_PRECISION, QSA_SURROGATE) > built-in defaults.  Every ``--precision``
 accepts 30..100 significant digits (``numeric.PRECISION_RANGE``).  Exit
 codes: 2 for usage errors, 1 for computation failures (guess exhaustion,
 stability-gate trips), 0 otherwise.
+
+Every command starts in a fresh process, so start-up is part of its cost.
+Importing this module loads click, the exception types and the exact-PGF
+layer, and nothing else of the package; each command imports the layers it
+runs in its body.  ``pgf``, ``moment``, ``moments-table``, ``oracle`` and
+``simulate`` never load mpmath, and only ``guess`` and ``limits`` load numpy.
 """
 
 from __future__ import annotations
@@ -18,22 +24,10 @@ import json
 from fractions import Fraction
 
 import click
-from mpmath import mp, mpf, nstr
 
-from .asymptotics import scaled_moment_limit
-from .distribution import export_density, tail_probability
+from ._ranges import EXHAUSTIVE_LIMIT, PRECISION_RANGE
 from .errors import QsaError
-from .fitting import check_fit_order, guess_moment
-from .moments import central_moment, moment_table, raw_moment
-from .numeric import PRECISION_RANGE
 from .pgf import pgf as exact_pgf
-from .simulate import (
-    EXHAUSTIVE_LIMIT,
-    SimConfig,
-    exhaustive_distribution,
-    monte_carlo,
-    selection_sort_count,
-)
 
 _FORMAT = click.Choice(["csv", "json"])
 
@@ -61,6 +55,23 @@ class _RangeParam(click.ParamType):
 
 
 RANGE = _RangeParam()
+
+
+class _PositiveFractionParam(click.ParamType):
+    """A positive exact rational, written as a decimal or as p/q."""
+
+    name = "text"  # the metavar --help has always shown
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, Fraction):
+            return value
+        try:
+            number = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"expected a decimal or p/q, got {value!r}", param, ctx)
+        if number <= 0:
+            self.fail(f"must be positive, got {value!r}", param, ctx)
+        return number
 
 
 def _domain_errors(fn):
@@ -96,6 +107,8 @@ def _json_dumps(obj) -> str:
 
 def high_real_str(x, digits: int) -> str:
     """Deterministic decimal rendering with ``digits`` significant digits."""
+    from mpmath import mp, nstr
+
     with mp.workdps(digits + 5):
         return nstr(x, digits, strip_zeros=False)
 
@@ -143,6 +156,8 @@ def pgf_cmd(n, fmt, out):
 @_domain_errors
 def oracle(n, fmt, out):
     """Exact distribution by exhaustive pivot enumeration (rows k,num,den)."""
+    from .simulate import exhaustive_distribution
+
     _write_dist(n, exhaustive_distribution(n).items(), fmt, out)
 
 
@@ -161,6 +176,10 @@ def oracle(n, fmt, out):
 @_domain_errors
 def moment(n, r, kind, fmt, out):
     """One exact moment of the comparison count (exact-PGF route)."""
+    if kind == "central" and r < 1:
+        raise click.UsageError("central moments require r >= 1")
+    from .moments import central_moment, raw_moment
+
     value = raw_moment(n, r) if kind == "raw" else central_moment(n, r)
     if fmt == "csv":
         _write(f"{n},{r},{value.numerator},{value.denominator}", out)
@@ -192,6 +211,8 @@ def moments_table(nmax, rmax, kind, source, fmt, out):
 
     The series route truncates the expansions at order rmax.
     """
+    from .moments import central_moment, moment_table, raw_moment
+
     r_lo = 1 if kind == "central" else 0
     rows = []
     if source == "series":
@@ -234,6 +255,8 @@ def guess(r, nmax, train, test, out):
     """Rediscover the closed form of a moment by undetermined coefficients."""
     if (train is None) != (test is None):
         raise click.UsageError("--train and --test must be given together")
+    from .fitting import guess_moment
+
     report = guess_moment(r, n_max_data=nmax, train=train, test=test)
     payload = {
         "r": r,
@@ -262,6 +285,9 @@ def limits(r_range, precision, out):
     lo, hi = r_range
     if lo < 2:
         raise click.UsageError("scaled moments require r >= 2")
+    from .asymptotics import scaled_moment_limit
+    from .fitting import check_fit_order, guess_moment
+
     # fail before fitting anything
     check_fit_order(hi)
     base = guess_moment(2)
@@ -288,15 +314,18 @@ def limits(r_range, precision, out):
 
 @cli.command()
 @click.option("--n", type=click.IntRange(min=3), default=130, show_default=True)
-@click.option("--bin", "bin_width", type=str, default="0.1", show_default=True)
+@click.option("--bin", "bin_width", type=_PositiveFractionParam(), default="0.1",
+              show_default=True)
 @_precision_option
 @_out_option
 @_domain_errors
 def density(n, bin_width, precision, out):
     """Histogram of the scaled distribution Z_n (rows z_left,z_right,mass)."""
-    if float(Fraction(bin_width)) <= 0:
-        raise click.UsageError("--bin must be positive")
-    bins = export_density(n, Fraction(bin_width), precision)
+    # distribution before mpmath: see the note on its imports
+    from .distribution import export_density
+    from mpmath import mp, mpf
+
+    bins = export_density(n, bin_width, precision)
     with mp.workdps(precision + 5):
         rows = [
             "{},{},{}".format(
@@ -319,6 +348,8 @@ def density(n, bin_width, precision, out):
 @_domain_errors
 def tail(n, x, surrogate, precision, out):
     """Pr(comparisons > x) for length n, via the scaled surrogate."""
+    from .distribution import tail_probability
+
     est = tail_probability(n, x, surrogate_n=surrogate, precision=precision)
     payload = {
         "n": n,
@@ -345,6 +376,8 @@ def tail(n, x, surrogate, precision, out):
 @_domain_errors
 def simulate_cmd(n, trials, seed, out):
     """Monte Carlo comparison counts over random permutations."""
+    from .simulate import SimConfig, monte_carlo
+
     stats = monte_carlo(SimConfig(n=n, trials=trials, seed=seed))
     payload = {
         "n": n,
@@ -368,6 +401,8 @@ def simulate_cmd(n, trials, seed, out):
 def selection_count(n, trials, seed, out):
     """Selection-sort comparison counts (always n(n-1)/2) on random inputs."""
     import random as _random
+
+    from .simulate import selection_sort_count
 
     rng = _random.Random(seed)
     counts = []

@@ -18,7 +18,9 @@ Two families of quantities live here:
 The constants come from mpmath (``mp.euler``, ``mp.pi``, ``mp.zeta``) at the
 working precision, and the test suite re-derives them by independent series.
 The module also owns the precision policy: the range every evaluation
-accepts, and how those precisions ask for constants.
+accepts, and how those precisions ask for constants.  The range constants
+(``MIN_PRECISION``, ``MAX_PRECISION``, ``PRECISION_RANGE``) are defined in
+``qsa._ranges``, which imports nothing, and re-exported here.
 """
 
 from __future__ import annotations
@@ -33,20 +35,10 @@ from math import comb, factorial, prod
 from mpmath import mp, mpf
 
 from ._intops import big, big_gcd
+from ._ranges import MAX_PRECISION, MIN_PRECISION, PRECISION_RANGE
 from .errors import EnclosureError
 
 Rational = Fraction
-
-#: constants() accepts precisions in this inclusive range.  With the clamp in
-#: guarded_constants() it fixes how many guard digits every accepted
-#: precision's constants carry, and so every printed digit; widening either
-#: changes outputs.
-MIN_PRECISION = 50
-MAX_PRECISION = 100
-
-#: Every high-precision evaluation in the package, and the command line,
-#: accepts precisions (significant decimal digits) in this inclusive range.
-PRECISION_RANGE = (30, MAX_PRECISION)
 
 # -----------------------------------------------------------------------
 # Exact harmonic numbers

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-EXHAUSTIVE_LIMIT = 12
+from ._ranges import EXHAUSTIVE_LIMIT
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class TestLimitsCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("guess_moment called")
 
-        monkeypatch.setattr("qsa.cli.guess_moment", no_fit)
+        monkeypatch.setattr("qsa.fitting.guess_moment", no_fit)
         result = runner.invoke(cli, ["limits", "--r", "3..9"])
         assert result.exit_code == 1
         assert "moment order 9 exceeds MAX_FIT_ORDER = 8" in result.output
@@ -240,6 +240,34 @@ class TestUsageErrors:
 
     def test_oracle_guard_is_usage_error(self, runner):
         assert runner.invoke(cli, ["oracle", "--n", "13"]).exit_code == 2
+
+    def test_central_moment_of_order_zero_is_usage_error(self, runner):
+        result = runner.invoke(cli, ["moment", "--n", "5", "--r", "0"])
+        assert result.exit_code == 2
+        assert "central moments require r >= 1" in result.output
+
+    def test_raw_moment_of_order_zero_is_one(self, runner):
+        payload = json.loads(
+            run_ok(runner, ["moment", "--n", "5", "--r", "0", "--kind", "raw"])
+        )
+        assert (payload["num"], payload["den"]) == ("1", "1")
+
+    @pytest.mark.parametrize("width", ["1/0", "abc", "nan", "inf", "0", "-1/2"])
+    def test_bad_bin_width_is_usage_error(self, runner, width):
+        result = runner.invoke(cli, ["density", "--n", "10", "--bin", width])
+        assert result.exit_code == 2
+        assert "Invalid value for '--bin'" in result.output
+
+    def test_bin_width_too_small_to_index_fails_with_one(self, runner):
+        # widths whose bin count fits an index but not in memory (1e-8 asks
+        # for gigabytes) are left untested
+        result = runner.invoke(cli, ["density", "--n", "10", "--bin", "1e-300"])
+        assert result.exit_code == 1
+        assert "more than a list can index" in result.output
+
+    def test_bin_width_as_fraction(self, runner):
+        a = run_ok(runner, ["density", "--n", "12", "--bin", "1/2"])
+        assert a == run_ok(runner, ["density", "--n", "12", "--bin", "0.5"])
 
     def test_env_var_default(self, runner, monkeypatch):
         monkeypatch.setenv("QSA_PRECISION", "31")

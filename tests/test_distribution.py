@@ -142,6 +142,10 @@ class TestExportDensity:
         with pytest.raises(ValueError):
             export_density(10, Fraction(-1, 2))
 
+    def test_unindexable_bin_count_rejected(self):
+        with pytest.raises(ValueError, match="more than a list can index"):
+            export_density(10, Fraction(1, 10**300))
+
     def test_edges_are_contiguous(self):
         bins = export_density(20, Fraction(1, 2))
         for left, right in zip(bins, bins[1:]):
