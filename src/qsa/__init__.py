@@ -37,16 +37,15 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "asymptotics": "AsymptoticValue coefficient_of_variation evaluate_asymptotic "
-        "leading_coefficient mean_asymptotic_check mean_over_nlogn scaled_moment_limit",
+        "asymptotics": "AsymptoticValue coefficient_of_variation leading_coefficient "
+        "mean_asymptotic_check mean_over_nlogn scaled_moment_limit",
         "distribution": "DensityBin ScaledDistribution TailEstimate export_density "
         "scale tail_probability",
-        "fitting": "REFUTED UNDETERMINED VERIFIED FitReport HarmonicExpr Monomial fit "
-        "guess_moment known_central_moment known_mean template",
+        "fitting": "REFUTED UNDETERMINED VERIFIED FitReport HarmonicExpr Monomial "
+        "evaluate_asymptotic fit guess_moment known_central_moment known_mean template",
         "moments": "MomentTable TruncatedSeries central_moment factorial_series "
         "moment_table moments_from_factorial raw_moment",
-        "numeric": "Constants Rational bernoulli constants harmonic harmonic_asymptotic "
-        "harmonic_enclosure",
+        "numeric": "Constants Rational bernoulli constants harmonic harmonic_enclosure",
         "simulate": "EmpiricalStats SimConfig exhaustive_distribution monte_carlo "
         "quicksort_count selection_sort_count",
     }.items()
@@ -108,7 +107,6 @@ __all__ = [
     "fit",
     "guess_moment",
     "harmonic",
-    "harmonic_asymptotic",
     "harmonic_enclosure",
     "known_central_moment",
     "known_mean",

@@ -10,9 +10,12 @@ symbolic series manipulation.  Two substitution modes are used:
   decade stability gate (n = 10^6, 10^7, 10^8, >= 12 agreeing digits)
   exists precisely to catch expressions whose leading part still drifts
   like ln n or was contaminated by slowly-decaying terms;
-* full Euler-Maclaurin substitution of every term (``evaluate_asymptotic``)
-  for finite-n diagnostics such as the coefficient-of-variation decay,
-  where the O(ln n / n) remainder is the point, not a nuisance.
+* the value at a finite n (``evaluate_asymptotic``, defined in
+  :mod:`qsa.fitting` and re-exported here), for diagnostics such as the
+  coefficient-of-variation decay, where the O(ln n / n) remainder is the
+  point, not a nuisance.  That function owns the exact-or-enclosure rule:
+  exact harmonic numbers up to n = 4000, Euler-Maclaurin enclosures with a
+  rigorous bound above.
 
 Leading coefficients are extracted from the full expression evaluated at
 astronomically large n (10^30..10^40), where the subleading ln n terms sit
@@ -26,13 +29,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import StabilityError
-from .fitting import HarmonicExpr, known_mean, known_central_moment
-from .numeric import (
-    MAX_PRECISION,
-    check_precision,
-    guarded_constants,
-    harmonic_asymptotic,
-)
+from .fitting import HarmonicExpr, evaluate_asymptotic, known_mean, known_central_moment
+from .numeric import check_precision, guarded_constants
 
 LIMIT_POINTS = (10**6, 10**7, 10**8)
 LEAD_POINTS = (10**30, 10**35, 10**40)
@@ -47,23 +45,16 @@ class AsymptoticValue:
     stability: int  # digits agreeing across the evaluation points
 
 
-def _limit_value(terms, n: int, consts) -> mpf:
-    """sum c * n^a * prod(sub(H_m))^e with H_1 -> ln n + gamma, H_m -> zeta(m).
+def _limit_value(expr: HarmonicExpr, n: int, consts) -> mpf:
+    """``expr`` at n with H_1 -> ln n + gamma and H_m -> zeta(m) for m >= 2.
 
     zeta(m) is taken at the precision of ``consts``, so it equals
     ``consts.zeta[m]`` where that exists.
     """
-    nn = mpf(n)
-    log_term = mp.log(nn) + consts.gamma
     with mp.workdps(consts.precision + 10):
-        zeta = {m: mp.zeta(m) for mono in terms for m, _ in mono.h_powers if m > 1}
-    total = mpf(0)
-    for mono, coeff in terms.items():
-        val = mpf(coeff.numerator) / mpf(coeff.denominator) * nn**mono.n_power
-        for m, e in mono.h_powers:
-            val *= (log_term if m == 1 else zeta[m]) ** e
-        total += val
-    return total
+        h = {m: mp.zeta(m) for mono in expr.terms for m, _ in mono.h_powers if m > 1}
+    h[1] = mp.log(mpf(n)) + consts.gamma
+    return expr.evaluate_real(n, h)
 
 
 def _agreement_digits(values, cap: int) -> int:
@@ -102,8 +93,8 @@ def scaled_moment_limit(
         raise ValueError("need at least two evaluation points")
     with mp.workdps(precision + 15):
         consts = guarded_constants(precision, 10)
-        tops_r = expr_r.top_terms()
-        tops_2 = expr_2.top_terms()
+        tops_r = HarmonicExpr(expr_r.top_terms())
+        tops_2 = HarmonicExpr(expr_2.top_terms())
         values = []
         for n in points:
             num = _limit_value(tops_r, n, consts)
@@ -142,9 +133,8 @@ def leading_coefficient(
         raise ValueError("leading coefficient of the zero expression")
     with mp.workdps(precision + 15):
         consts = guarded_constants(precision, 10)
-        terms = expr.terms
         deg = expr.max_n_power()
-        values = [_limit_value(terms, n, consts) / mpf(n) ** deg for n in points]
+        values = [_limit_value(expr, n, consts) / mpf(n) ** deg for n in points]
         stability = _agreement_digits(values, precision)
         if stability < min_stability:
             raise StabilityError(
@@ -154,25 +144,10 @@ def leading_coefficient(
         return +values[-1]
 
 
-def evaluate_asymptotic(
-    expr: HarmonicExpr, n: int, precision: int = 50, terms: int = 4
-) -> mpf:
-    """Evaluate a closed form at (possibly huge) n via Euler-Maclaurin
-    harmonic values rather than exact rationals."""
-    check_precision(precision)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with mp.workdps(precision + 10):
-        h_precision = min(precision + 5, MAX_PRECISION)
-        h = {
-            m: harmonic_asymptotic(m, n, terms=terms, precision=h_precision)
-            for m in {m for mono in expr.terms for m, _ in mono.h_powers}
-        }
-        return +expr.evaluate_real(n, h)
-
-
 def mean_over_nlogn(n: int, precision: int = 50) -> mpf:
     """Diagnostic ratio c_n/(n ln n); approaches 2 like O(1/ln n)."""
+    if n < 2:
+        raise ValueError(f"c_n/(n ln n) needs n >= 2 (ln 1 = 0), got {n!r}")
     check_precision(precision)
     with mp.workdps(precision + 10):
         cn = evaluate_asymptotic(known_mean(), n, precision)
@@ -180,7 +155,9 @@ def mean_over_nlogn(n: int, precision: int = 50) -> mpf:
 
 
 def coefficient_of_variation(n: int, precision: int = 50) -> mpf:
-    """sqrt(m_2(n))/c_n; small and shrinking like O(1/ln n)."""
+    """sqrt(m_2(n))/c_n; small and shrinking like O(1/ln n), and 0 at n = 2."""
+    if n < 2:
+        raise ValueError(f"sqrt(m_2(n))/c_n needs n >= 2 (c_1 = 0), got {n!r}")
     check_precision(precision)
     with mp.workdps(precision + 10):
         cn = evaluate_asymptotic(known_mean(), n, precision)

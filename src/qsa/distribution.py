@@ -9,12 +9,12 @@ approaches its limiting shape slowly (the scaled third moment converges
 like O(1/ln n)), but a moderate surrogate such as Z_130 already carries
 the limit's shape well.  Tail queries for very large n therefore map the
 requested threshold through c_n, m_2(n) of the target size onto the
-surrogate's z-scale and read the surrogate's tail mass there.  Up to
-n = 4000 (``numeric._PREFIX_LIMIT``), and whenever the target is the
-surrogate itself, c_n and m_2(n) are the exact closed forms.  Above it they
-come from Euler-Maclaurin enclosures of H_1(n) and H_2(n) whose rigorous
-error bound lies below 10^-(precision + 15), five digits beyond the working
-precision, so no 10^4-digit harmonic fraction is ever built.
+surrogate's z-scale and read the surrogate's tail mass there.  c_n and
+m_2(n) come from ``fitting.evaluate_asymptotic``, which owns the
+exact-or-enclosure rule: the exact closed forms up to n = 4000
+(``numeric._PREFIX_LIMIT``), above it Euler-Maclaurin enclosures of H_1(n)
+and H_2(n) whose rigorous error bound lies below 10^-(precision + 15), so no
+10^4-digit harmonic fraction is ever built.
 
 Probability masses stay exact Fractions end to end; only the z-coordinates
 (which involve a square root) are high-precision floats.
@@ -22,7 +22,6 @@ Probability masses stay exact Fractions end to end; only the z-coordinates
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -35,18 +34,18 @@ from typing import Union
 # 2 MB for a moment; loaded first, that peak does not stack on mpmath's 4 MB,
 # and a cold `qsa tail` or `qsa density` peaks about 1 MB lower.
 from .errors import CrossCheckError
-from .fitting import known_central_moment, known_mean
+from .fitting import evaluate_asymptotic, known_central_moment, known_mean
 from .moments import central_moment, raw_moment
-from .numeric import _PREFIX_LIMIT, check_precision, harmonic_enclosure
+from .numeric import check_precision
 from .pgf import scaled_pgf
 
 from mpmath import mp, mpf
 
 DEFAULT_SURROGATE = 130
 
-# Digits beyond the working precision to which enclosed closed forms are
-# evaluated before rounding; precision 100 then asks H_m(n) for 115 digits.
-_GUARD = 5
+#: The most bins export_density builds; 10^5 bins already take seconds and
+#: about 100 MB.
+MAX_DENSITY_BINS = 10**6
 
 NumberLike = Union[int, Fraction]
 
@@ -145,40 +144,23 @@ def tail_probability(
     """Pr(X_{n_large} > threshold) via the scaled surrogate Z_{surrogate_n}.
 
     The threshold maps to z = (threshold - c_n)/sqrt(m_2(n)) with the
-    closed forms of the target size: exact for n_large <= 4000 or
-    n_large == surrogate_n, and above that evaluated from enclosures of
-    H_1(n), H_2(n) good to 10^-(precision + 15), then rounded to the
-    working precision of ``precision + 10`` digits.  The surrogate's mass
-    above that cut is returned, splitting the straddled inter-atom gap by
-    linear CDF interpolation (which keeps the result monotone in the
-    threshold).  A cut below the surrogate's support returns probability
-    1, above it 0, both flagged ``saturated``.  When the surrogate equals
-    the target the answer is the exact tail sum.
+    closed forms of the target size at the working precision of
+    ``precision + 10`` digits, from ``fitting.evaluate_asymptotic``: exact
+    for n_large <= 4000, enclosed above.  The surrogate's mass above that
+    cut is returned, splitting the straddled inter-atom gap by linear CDF
+    interpolation (which keeps the result monotone in the threshold).  A
+    cut below the surrogate's support returns probability 1, above it 0,
+    both flagged ``saturated``.  When the surrogate equals the target the
+    answer is the exact tail sum.
     """
     if n_large < 3:
         raise ValueError("tail queries require n_large >= 3 (zero variance below)")
     check_precision(precision)
     threshold = Fraction(threshold)
     sur = scale(surrogate_n, precision)
-    if n_large == surrogate_n or n_large <= _PREFIX_LIMIT:
-        mean_t = known_mean().evaluate(n_large)
-        var_t = known_central_moment(2).evaluate(n_large)
-        with mp.workdps(precision + 10):
-            mean_t = mpf(mean_t.numerator) / mpf(mean_t.denominator)
-            var_t = mpf(var_t.numerator) / mpf(var_t.denominator)
-    else:
-        # Each enclosed H_m(n) is within 10^-digits.  m_2(n) multiplies that
-        # error by about 4n^2 against a value near 0.42 n^2, so its relative
-        # error stays near 10^(1 - digits); c_n's stays below 10^-digits.
-        digits = precision + 10 + _GUARD
-        with mp.workdps(digits):
-            h = {m: harmonic_enclosure(m, n_large, digits)[0] for m in (1, 2)}
-            mean_t = known_mean().evaluate_real(n_large, h)
-            var_t = known_central_moment(2).evaluate_real(n_large, h)
+    mean_t = evaluate_asymptotic(known_mean(), n_large, precision)
+    var_t = evaluate_asymptotic(known_central_moment(2), n_large, precision)
     with mp.workdps(precision + 10):
-        # unary plus rounds enclosed values to the working precision, where
-        # the exact route's values already are
-        mean_t, var_t = +mean_t, +var_t
         sigma_t = mp.sqrt(var_t)
         z_cut = (mpf(threshold.numerator) / mpf(threshold.denominator) - mean_t) / sigma_t
         if n_large == surrogate_n:
@@ -224,10 +206,10 @@ def export_density(
             raise ValueError("bin width must be positive")
         z_min, z_max = dist.zs[0], dist.zs[-1]
         n_bins = max(1, int(mp.ceil((z_max - z_min) / width)))
-        if n_bins > sys.maxsize:
+        if n_bins > MAX_DENSITY_BINS:
             raise ValueError(
                 f"bin width {mp.nstr(width, 3)} asks for {mp.nstr(mpf(n_bins), 3)} "
-                "bins, more than a list can index"
+                f"bins, more than MAX_DENSITY_BINS = {MAX_DENSITY_BINS}"
             )
         masses = [Fraction(0)] * n_bins
         for z, mass in zip(dist.zs, dist.masses):

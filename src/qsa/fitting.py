@@ -7,8 +7,9 @@ monomial template, solve for the coefficients on a training window of
 exact moment values, and confirm the candidate on a disjoint (much larger)
 testing window with *exactly zero* residuals.  The fits involve no
 floating point: a "verified" report means every train and test equation
-holds in rational arithmetic.  (``HarmonicExpr.evaluate_real`` evaluates a
-closed form from real harmonic values, for callers at very large n.)
+holds in rational arithmetic.  (``evaluate_asymptotic`` evaluates a closed
+form at real precision: exactly up to n = 4000, above it from Euler-Maclaurin
+enclosures of the harmonic numbers; this is the one place that rule lives.)
 
 Template grading: a monomial is n^a * prod_m H_m(n)^(b_m); the escalation
 ladder bounds the n-exponent by d and the weighted harmonic degree
@@ -35,14 +36,14 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
 from .moments import _moment_values, moment_table
-from .numeric import harmonic
+from .numeric import _PREFIX_LIMIT, check_precision, harmonic, harmonic_enclosure
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -303,6 +304,38 @@ class HarmonicExpr:
         return cls(terms)
 
 
+# Digits beyond the working precision to which closed forms are evaluated
+# above _PREFIX_LIMIT before rounding; precision 100 asks H_m(n) for 115 digits.
+_GUARD = 5
+
+
+def evaluate_asymptotic(expr: HarmonicExpr, n: int, precision: int = 50) -> mpf:
+    """``expr`` at n as an mpf of ``precision + 10`` significant digits.
+
+    Up to n = 4000 (``numeric._PREFIX_LIMIT``) this is the exact value
+    ``expr.evaluate(n)``, rounded once.  Above it every H_m(n) comes from
+    :func:`~qsa.numeric.harmonic_enclosure` to within 10^-(precision + 15),
+    the expression is evaluated at that many digits and then rounded, so no
+    harmonic fraction of n digits is ever built.  The five guard digits
+    absorb how the expression amplifies the H_m errors (m_2(n) multiplies
+    its H_2 error by about 4n^2 against a value near 0.42 n^2): the tests
+    check c_n, m_2(n) and m_6(n) to within 10^-precision of the exact
+    value, relative, on both sides of n = 4000.
+    """
+    check_precision(precision)
+    if n <= _PREFIX_LIMIT:
+        exact = expr.evaluate(n)
+        with mp.workdps(precision + 10):
+            return mpf(exact.numerator) / mpf(exact.denominator)
+    digits = precision + 10 + _GUARD
+    with mp.workdps(digits):
+        orders = {m for mono in expr.terms for m, _ in mono.h_powers}
+        h = {m: harmonic_enclosure(m, n, digits)[0] for m in orders}
+        value = expr.evaluate_real(n, h)
+    with mp.workdps(precision + 10):
+        return +value
+
+
 # -----------------------------------------------------------------------
 # Templates
 # -----------------------------------------------------------------------
@@ -546,16 +579,24 @@ def fit(
 ) -> FitReport:
     """Solve for template coefficients on ``train``, confirm on ``test``.
 
-    ``data`` maps n to the exact sequence value.  The train system must be
-    overdetermined by at least ``slack`` equations.  The returned report is
-    "verified" only if the reconstructed rational coefficients reproduce
-    every train *and* test value exactly.
+    ``data`` maps n to the exact sequence value.  The windows must share no
+    point, or the test would re-check training equations.  The train
+    system must be overdetermined by at least ``slack`` equations.  The
+    returned report is "verified" only if the reconstructed rational
+    coefficients reproduce every train *and* test value exactly.
     """
     monos = list(monomials)
     if not monos:
         raise ValueError("empty template")
     train_pts = _as_points(train)
     test_pts = _as_points(test)
+    shared = set(train_pts) & set(test_pts)
+    if shared:
+        lo, hi = _span(shared)
+        raise ValueError(
+            f"train and test windows must be disjoint, but share {len(shared)} "
+            f"point(s) in n = {lo}..{hi}"
+        )
     if len(train_pts) < len(monos) + slack:
         raise InsufficientDataError(
             f"need at least {len(monos) + slack} training points for "

@@ -9,9 +9,10 @@ context outside a ``workdps`` block.
 
 Two families of quantities live here:
 
-* generalized harmonic numbers ``H_m(n) = sum_{i=1}^n 1/i^m``, both exact
-  (Fraction) and asymptotic (Euler-Maclaurin, for very large ``n``), the
-  latter also as an enclosure with a rigorous error bound;
+* generalized harmonic numbers ``H_m(n) = sum_{i=1}^n 1/i^m``, exact
+  (Fraction) and, for very large ``n``, as Euler-Maclaurin enclosures with
+  a rigorous error bound.  Which of the two a closed form at real precision
+  uses is decided in one place, ``qsa.fitting.evaluate_asymptotic``;
 * the classical constants gamma, pi and zeta(m) that appear in the
   large-``n`` behaviour of the comparison-count moments.
 
@@ -29,7 +30,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice
+from itertools import count
 from math import comb, factorial, prod
 
 from mpmath import mp, mpf
@@ -130,61 +131,21 @@ def bernoulli(k: int) -> Fraction:
 # -----------------------------------------------------------------------
 
 
-def _euler_maclaurin_base(m: int, n):
-    """The divergent or limiting part of H_m(n): ln n + gamma, or zeta(m) - n^(1-m)/(m-1)."""
-    if m == 1:
-        return mp.log(n) + mp.euler
-    return mp.zeta(m) - n ** (1 - m) / (m - 1)
-
-
-def _euler_maclaurin_terms(m: int, n):
-    """B_{2k}/(2k)! * m(m+1)...(m+2k-2) / n^(m+2k-1) for k = 1, 2, ...
-
-    H_m(n) is the base term plus 1/(2 n^m) minus these corrections.  The
-    series diverges, so callers decide where to stop.
-    """
-    for k in count(1):
-        coeff = bernoulli(2 * k) * prod(range(m, m + 2 * k - 1)) / factorial(2 * k)
-        yield mpf(coeff.numerator) / mpf(coeff.denominator) / n ** (m + 2 * k - 1)
-
-
-def harmonic_asymptotic(m: int, n: int, terms: int = 4, precision: int = 50) -> mpf:
-    """Euler-Maclaurin approximation of H_m(n) for large n.
-
-    For m = 1 this is ``ln n + gamma + 1/(2n) - 1/(12 n^2) + ...``; for
-    m >= 2 it is ``zeta(m)`` minus the tail estimate.  ``terms`` counts the
-    Bernoulli correction terms; with ``terms >= 4`` the result agrees with
-    the exact value to well over 30 digits for n >= 10**4.
-    :func:`harmonic_enclosure` picks the number of terms itself and bounds
-    the error.
-    """
-    _check_harmonic_args(m, n)
-    if n < 1:
-        raise ValueError("asymptotic expansion requires n >= 1")
-    if not isinstance(terms, int) or isinstance(terms, bool) or terms < 0:
-        raise ValueError(f"terms must be a non-negative integer, got {terms!r}")
-    check_precision(precision)
-    with mp.workdps(precision + 10):
-        nn = mpf(n)
-        corrections = 1 / (2 * nn**m)
-        for term in islice(_euler_maclaurin_terms(m, nn), terms):
-            corrections -= term
-        return _euler_maclaurin_base(m, nn) + corrections
-
-
 def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
     """H_m(n) to within 10^-digits: ``(value, bound)`` with |H_m(n) - value| <= bound.
 
-    ``value`` is the Euler-Maclaurin expansion, base term plus 1/(2 n^m)
-    minus the B_{2k} corrections, cut before the first correction below
-    half the budget.  For f(x) = x^-m every derivative keeps one sign, so
-    the remainder lies between zero and that first omitted term (Graham,
-    Knuth & Patashnik, *Concrete Mathematics*, section 9.5).  ``bound`` adds
-    to it the rounding in the evaluation, mpmath's gamma or zeta(m)
-    included, and never exceeds 10^-digits: when the terms start to grow
-    before one falls below the budget (n too small for the digits asked),
-    or the rounding alone exceeds it, :class:`EnclosureError` is raised
-    instead.  The value carries ``digits + 10`` significant digits.
+    ``value`` is the Euler-Maclaurin expansion: the divergent or limiting
+    part (ln n + gamma, or zeta(m) - n^(1-m)/(m-1)), plus 1/(2 n^m), minus
+    the corrections B_{2k}/(2k)! * m(m+1)...(m+2k-2) / n^(m+2k-1) for
+    k = 1, 2, ..., cut before the first one below half the budget.  For
+    f(x) = x^-m every derivative keeps one sign, so the remainder lies
+    between zero and that first omitted term (Graham, Knuth & Patashnik,
+    *Concrete Mathematics*, section 9.5).  ``bound`` adds to it the rounding
+    in the evaluation, mpmath's gamma or zeta(m) included, and never exceeds
+    10^-digits: when the terms start to grow before one falls below the
+    budget (n too small for the digits asked), or the rounding alone exceeds
+    it, :class:`EnclosureError` is raised instead.  The value carries
+    ``digits + 10`` significant digits.
     """
     _check_harmonic_args(m, n)
     if n < 1:
@@ -194,25 +155,28 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
     with mp.workdps(digits + 10):
         budget = mpf(10) ** -digits
         nn = mpf(n)
-        value = _euler_maclaurin_base(m, nn) + 1 / (2 * nn**m)
+        base = mp.log(nn) + mp.euler if m == 1 else mp.zeta(m) - nn ** (1 - m) / (m - 1)
+        value = base + 1 / (2 * nn**m)
         previous = None
-        for used, term in enumerate(_euler_maclaurin_terms(m, nn)):
+        for k in count(1):
+            coeff = bernoulli(2 * k) * prod(range(m, m + 2 * k - 1)) / factorial(2 * k)
+            term = mpf(coeff.numerator) / mpf(coeff.denominator) / nn ** (m + 2 * k - 1)
             if abs(term) <= budget / 2:
                 break
             if previous is not None and abs(term) >= previous:
                 raise EnclosureError(
                     f"H_{m}({n}) cannot be enclosed to 10^-{digits}: the "
-                    f"Euler-Maclaurin terms grow from term {used + 1} on, "
+                    f"Euler-Maclaurin terms grow from term {k} on, "
                     f"at {mp.nstr(previous, 3)}"
                 )
             value -= term
             previous = abs(term)
         # The base term and 1/(2 n^m) take 9 rounded operations, gamma or
-        # zeta(m) itself counted as one, and each subtracted term at most 5,
-        # every one on a quantity no larger than |value| + 1 and off by at
-        # most 2^(1-prec) of it (mpmath's constants, log and integer powers
-        # stay within an ulp); 4 * (used + 9) covers them.
-        rounding = 4 * (used + 9) * mpf(2) ** (1 - mp.prec) * (abs(value) + 1)
+        # zeta(m) itself counted as one, and each of the k - 1 subtracted
+        # terms at most 5, every one on a quantity no larger than |value| + 1
+        # and off by at most 2^(1-prec) of it (mpmath's constants, log and
+        # integer powers stay within an ulp); 4 * (k + 8) covers them.
+        rounding = 4 * (k + 8) * mpf(2) ** (1 - mp.prec) * (abs(value) + 1)
         bound = abs(term) + rounding
         if bound > budget:
             raise EnclosureError(

@@ -23,12 +23,12 @@ from qsa.asymptotics import (
 from qsa.errors import StabilityError
 from qsa.fitting import HarmonicExpr, known_central_moment, known_mean
 from qsa.distribution import tail_probability
+from qsa.moments import central_moment, raw_moment
 from qsa.numeric import (
     PRECISION_RANGE,
     bernoulli,
     constants,
     harmonic,
-    harmonic_asymptotic,
 )
 
 
@@ -211,14 +211,15 @@ class TestBeyondZetaEight:
 
 class TestZetaTableBound:
     """evaluate_asymptotic of H_m past m = 8, where the table of embedded
-    zeta(m) constants used to stop; the truth is the exact value at n = 2000."""
+    zeta(m) constants used to stop; the truth is the exact value at n = 10^4,
+    above the n = 4000 from which H_9 is enclosed."""
 
     def test_evaluate_asymptotic(self):
-        n = 2000
+        n = 10**4
         expr = HarmonicExpr.variable() ** 5 * HarmonicExpr.harmonic(9)
         exact = expr.evaluate(n)
         with mp.workdps(60):
-            approx = evaluate_asymptotic(expr, n, precision=50, terms=6)
+            approx = evaluate_asymptotic(expr, n, precision=50)
             truth = mpf(exact.numerator) / mpf(exact.denominator)
             assert abs(approx - truth) / truth < mpf(10) ** -40
 
@@ -226,12 +227,52 @@ class TestZetaTableBound:
 class TestFiniteSizeDiagnostics:
     def test_asymptotic_evaluation_matches_exact(self):
         expr = known_central_moment(2)
-        n = 2000
+        n = 5000
         exact = expr.evaluate(n)
         with mp.workdps(60):
-            approx = evaluate_asymptotic(expr, n, precision=50, terms=6)
+            approx = evaluate_asymptotic(expr, n, precision=50)
             truth = mpf(exact.numerator) / mpf(exact.denominator)
             assert abs(approx - truth) / truth < mpf(10) ** -40
+
+    @pytest.mark.parametrize(
+        "expr",
+        [known_mean(), known_central_moment(2), known_central_moment(6)],
+        ids=["mean", "m2", "m6"],
+    )
+    def test_evaluate_asymptotic_within_its_precision(self, expr):
+        # exact up to n = 4000, enclosed above; both within 10^-precision
+        for n in (3, 100, 4000, 4001, 10**4):
+            exact = expr.evaluate(n)
+            for precision in (30, 50, 100):
+                value = evaluate_asymptotic(expr, n, precision)
+                with mp.workdps(precision + 40):
+                    truth = mpf(exact.numerator) / mpf(exact.denominator)
+                    assert abs(value - truth) <= abs(truth) * mpf(10) ** -precision, (
+                        n, precision
+                    )
+
+    @pytest.mark.parametrize("diagnostic", [mean_over_nlogn, coefficient_of_variation])
+    @pytest.mark.parametrize("n", [1, 0, True])
+    def test_growth_diagnostics_reject_n_below_two(self, diagnostic, n):
+        # c_1 = 0 and ln 1 = 0: there is no ratio to take
+        with pytest.raises(ValueError, match="n >= 2"):
+            diagnostic(n)
+
+    def test_growth_diagnostics_at_two(self):
+        # c_2 = 1 and m_2(2) = 0 exactly
+        cv = coefficient_of_variation(2)
+        assert isinstance(cv, mpf) and cv == 0
+        with mp.workdps(60):
+            assert abs(mean_over_nlogn(2) - 1 / (2 * mp.log(2))) < mpf(10) ** -50
+
+    def test_coefficient_of_variation_matches_exact_moments(self):
+        for n in range(3, 11):
+            mean, var = raw_moment(n, 1), central_moment(n, 2)
+            with mp.workdps(70):
+                truth = mp.sqrt(mpf(var.numerator) / var.denominator) / (
+                    mpf(mean.numerator) / mean.denominator
+                )
+                assert abs(coefficient_of_variation(n) - truth) <= truth * mpf(10) ** -50
 
     def test_mean_growth_constant(self):
         val = mean_asymptotic_check(50)
@@ -284,14 +325,12 @@ class TestFiniteSizeDiagnostics:
         ),
         lambda p: leading_coefficient(known_central_moment(2), p),
         lambda p: tail_probability(10**4, 160000, surrogate_n=30, precision=p),
-        lambda p: harmonic_asymptotic(1, 10**4, precision=p),
         lambda p: evaluate_asymptotic(known_mean(), 10**4, p),
     ],
     ids=[
         "scaled_moment_limit",
         "leading_coefficient",
         "tail_probability",
-        "harmonic_asymptotic",
         "evaluate_asymptotic",
     ],
 )

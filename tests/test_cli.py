@@ -94,6 +94,13 @@ class TestGuessCommand:
         )
         assert result.exit_code == 1
 
+    def test_overlapping_windows_fail_with_one(self, runner):
+        result = runner.invoke(
+            cli, ["guess", "--r", "2", "--train", "1..20", "--test", "5..30"]
+        )
+        assert result.exit_code == 1
+        assert "share 16 point(s) in n = 5..20" in result.output
+
     def test_order_above_default_truncation_fails_before_any_data(
         self, runner, monkeypatch
     ):
@@ -259,11 +266,16 @@ class TestUsageErrors:
         assert "Invalid value for '--bin'" in result.output
 
     def test_bin_width_too_small_to_index_fails_with_one(self, runner):
-        # widths whose bin count fits an index but not in memory (1e-8 asks
-        # for gigabytes) are left untested
         result = runner.invoke(cli, ["density", "--n", "10", "--bin", "1e-300"])
         assert result.exit_code == 1
-        assert "more than a list can index" in result.output
+        assert "more than MAX_DENSITY_BINS" in result.output
+
+    def test_bin_count_beyond_memory_fails_with_one_line(self, runner):
+        # 6.6e18 bins fit an index, but a list of them does not fit in memory
+        result = runner.invoke(cli, ["density", "--n", "10", "--bin", "1e-18"])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert "more than MAX_DENSITY_BINS = 1000000" in result.output
 
     def test_bin_width_as_fraction(self, runner):
         a = run_ok(runner, ["density", "--n", "12", "--bin", "1/2"])

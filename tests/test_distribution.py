@@ -143,7 +143,7 @@ class TestExportDensity:
             export_density(10, Fraction(-1, 2))
 
     def test_unindexable_bin_count_rejected(self):
-        with pytest.raises(ValueError, match="more than a list can index"):
+        with pytest.raises(ValueError, match="more than MAX_DENSITY_BINS"):
             export_density(10, Fraction(1, 10**300))
 
     def test_edges_are_contiguous(self):

@@ -202,6 +202,12 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             fit(data, template(1, 1, 1), (1, 9), (10, 20))
 
+    def test_overlapping_windows_rejected(self):
+        data = {n: Fraction(n) for n in range(1, 31)}
+        overlap = r"disjoint, but share 16 point\(s\) in n = 5\.\.20"
+        with pytest.raises(ValueError, match=overlap):
+            fit(data, [Monomial(0), Monomial(1)], (1, 20), (5, 30))
+
     def test_test_failure_reports_residuals(self):
         # train window fits an affine model exactly, test window refutes it
         data = {n: Fraction(n) for n in range(1, 31)}

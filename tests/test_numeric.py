@@ -13,16 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from qsa.distribution import _GUARD
 from qsa.errors import EnclosureError
-from qsa.fitting import known_mean
+from qsa.fitting import _GUARD, HarmonicExpr, evaluate_asymptotic, known_mean
 from qsa.numeric import (
     _PREFIX_LIMIT,
     MAX_PRECISION,
     bernoulli,
     constants,
     harmonic,
-    harmonic_asymptotic,
     harmonic_enclosure,
 )
 
@@ -128,63 +126,53 @@ class TestHarmonicAsymptotic:
             assert 0 <= gap <= n * mpf(10) ** -TRUTH_DIGITS
 
     def test_thirty_digit_agreement_at_1e6(self):
+        value, bound = harmonic_enclosure(1, 10**6, 40)
         with mp.workdps(70):
             truth = fixed_point_harmonic(1, 10**6)
-            approx = harmonic_asymptotic(1, 10**6, terms=4, precision=60)
-            assert abs(approx - truth) < mpf(10) ** -30
+            assert abs(value - truth) <= bound < mpf(10) ** -30
 
     def test_thirty_digit_agreement_at_1e4_all_m(self):
         for m in (1, 2, 3, 5):
             exact = harmonic(m, 10**4)
+            value, bound = harmonic_enclosure(m, 10**4, 30)
             with mp.workdps(70):
                 truth = mpf(exact.numerator) / mpf(exact.denominator)
-                approx = harmonic_asymptotic(m, 10**4, terms=4, precision=60)
-                assert abs(approx - truth) < mpf(10) ** -30
+                assert abs(value - truth) <= bound <= mpf(10) ** -30
 
     def test_small_argument_rough_value(self):
-        assert abs(harmonic_asymptotic(1, 1, terms=4) - 1) < mpf("1e-2")
+        # at n = 1 the smallest term is 1/120, so one digit is all there is
+        value, bound = harmonic_enclosure(1, 1, 1)
+        assert abs(value - 1) <= bound < mpf("1e-1")
+        with pytest.raises(EnclosureError, match="grow"):
+            harmonic_enclosure(1, 1, 3)
 
     def test_m2_approaches_zeta2(self):
         z2 = constants(60).zeta[2]
         with mp.workdps(60):
             for n, tol in ((10**4, "1e-3"), (10**6, "1e-5")):
-                assert abs(harmonic_asymptotic(2, n, 4, 60) - z2) < mpf(tol)
-
-    def test_error_decreases_monotonically_in_terms(self):
-        # grid n = 10^2, 10^4, 10^6; term counts chosen to stay above the
-        # working-precision floor at 110 digits
-        term_grid = {10**2: range(0, 7), 10**4: range(0, 6), 10**6: range(0, 5)}
-        for m in (1, 2):
-            for n, terms_range in term_grid.items():
-                with mp.workdps(130):
-                    truth = fixed_point_harmonic(m, n)
-                    errs = [
-                        abs(harmonic_asymptotic(m, n, terms=t, precision=100) - truth)
-                        for t in terms_range
-                    ]
-                assert all(a > b for a, b in zip(errs, errs[1:])), (m, n, errs)
+                assert abs(harmonic_enclosure(2, n, 60)[0] - z2) < mpf(tol)
 
     def test_exponent_beyond_zeta_table_rejected(self):
         # m = 9 was rejected while zeta(m) came from a table of m = 2..8;
         # zeta(9) now comes from mpmath, so H_9 is expanded like any H_m
         exact = harmonic(9, 10**4)
+        value, bound = harmonic_enclosure(9, 10**4, 30)
         with mp.workdps(70):
             truth = mpf(exact.numerator) / mpf(exact.denominator)
-            approx = harmonic_asymptotic(9, 10**4, terms=4, precision=60)
-            assert abs(approx - truth) < mpf(10) ** -30
+            assert abs(value - truth) <= bound <= mpf(10) ** -30
 
     def test_precision_range_enforced(self):
-        with pytest.raises(ValueError):
-            harmonic_asymptotic(1, 100, 4, precision=10)
-        with pytest.raises(ValueError):
-            harmonic_asymptotic(1, 0, 4)
+        with pytest.raises(ValueError, match="PRECISION_RANGE"):
+            evaluate_asymptotic(HarmonicExpr.harmonic(1), 10**4, precision=10)
+        with pytest.raises(ValueError, match="n >= 1"):
+            harmonic_enclosure(1, 0, 40)
 
 
 class TestHarmonicEnclosure:
     @pytest.mark.parametrize(
         "n,m",
         [(n, m) for n in (_PREFIX_LIMIT + 1, 10**4, 30012) for m in (1, 2)]
-        + [(_PREFIX_LIMIT + 1, 9), (10**4, 9)],
+        + [(10**4, 3), (10**4, 5), (_PREFIX_LIMIT + 1, 9), (10**4, 9)],
     )
     def test_interval_contains_exact_value(self, n, m):
         # the digits tail_probability asks for at each precision
@@ -215,9 +203,6 @@ class TestHarmonicEnclosure:
 @pytest.mark.parametrize(
     "call,match",
     [
-        pytest.param(lambda: harmonic_asymptotic(1, 10**4, terms=2.5), "terms", id="terms-float"),
-        pytest.param(lambda: harmonic_asymptotic(1, 10**4, terms=True), "terms", id="terms-bool"),
-        pytest.param(lambda: harmonic_asymptotic(1, 10**4, terms=-1), "terms", id="terms-negative"),
         pytest.param(lambda: harmonic_enclosure(1, 10**4, True), "digits", id="digits-bool"),
         pytest.param(lambda: harmonic_enclosure(1, 10**4, 40.0), "digits", id="digits-float"),
         pytest.param(lambda: known_mean().evaluate(True), "integer n", id="evaluate-bool"),
@@ -310,7 +295,7 @@ class TestConstants:
     def test_doubled_precision_recomputation(self):
         # HighReal error-bound invariant: values at dps 50 vs dps 100 agree
         # to within the coarser precision
-        lo = harmonic_asymptotic(1, 10**5, terms=6, precision=50)
-        hi = harmonic_asymptotic(1, 10**5, terms=6, precision=100)
+        lo = evaluate_asymptotic(HarmonicExpr.harmonic(1), 10**5, precision=50)
+        hi = evaluate_asymptotic(HarmonicExpr.harmonic(1), 10**5, precision=100)
         with mp.workdps(110):
             assert abs(lo - hi) / abs(hi) < mpf(10) ** -49
