@@ -45,7 +45,7 @@ _LAZY = {
         "evaluate_asymptotic fit guess_moment known_central_moment known_mean template",
         "moments": "MomentTable TruncatedSeries central_moment factorial_series "
         "moment_table moments_from_factorial raw_moment",
-        "numeric": "Constants Rational bernoulli constants harmonic harmonic_enclosure",
+        "numeric": "bernoulli harmonic harmonic_enclosure",
         "simulate": "EmpiricalStats SimConfig exhaustive_distribution monte_carlo "
         "quicksort_count selection_sort_count",
     }.items()
@@ -71,7 +71,6 @@ def __dir__():
 
 __all__ = [
     "AsymptoticValue",
-    "Constants",
     "CrossCheckError",
     "DensityBin",
     "DistPoly",
@@ -86,7 +85,6 @@ __all__ = [
     "Monomial",
     "PgfCache",
     "QsaError",
-    "Rational",
     "REFUTED",
     "ScaledDistribution",
     "SimConfig",
@@ -98,7 +96,6 @@ __all__ = [
     "bernoulli",
     "central_moment",
     "coefficient_of_variation",
-    "constants",
     "convolve",
     "evaluate_asymptotic",
     "exhaustive_distribution",

@@ -4,7 +4,8 @@ The scaled moments m_r(n)/m_2(n)^(r/2) converge to finite constants; this
 module evaluates them numerically from verified closed forms, never by
 symbolic series manipulation.  Two substitution modes are used:
 
-* limit substitution, H_1(n) -> ln n + gamma and H_m(n) -> zeta(m),
+* limit substitution, H_1(n) -> ln n + gamma and H_m(n) -> zeta(m), with
+  gamma and zeta(m) from mpmath at the evaluation's working precision,
   applied to the *top n-degree* terms only.  For a genuine limit the top
   terms carry no H_1 factor, so the value is n-independent; the three-
   decade stability gate (n = 10^6, 10^7, 10^8, >= 12 agreeing digits)
@@ -30,10 +31,15 @@ from mpmath import mp, mpf
 
 from .errors import StabilityError
 from .fitting import HarmonicExpr, evaluate_asymptotic, known_mean, known_central_moment
-from .numeric import check_precision, guarded_constants
+from .numeric import check_precision
 
+#: Evaluation points of scaled_moment_limit, and the digits its values there
+#: must share.
 LIMIT_POINTS = (10**6, 10**7, 10**8)
+LIMIT_STABILITY = 12
+#: The same for leading_coefficient.
 LEAD_POINTS = (10**30, 10**35, 10**40)
+LEAD_STABILITY = 20
 
 
 @dataclass(frozen=True)
@@ -45,15 +51,13 @@ class AsymptoticValue:
     stability: int  # digits agreeing across the evaluation points
 
 
-def _limit_value(expr: HarmonicExpr, n: int, consts) -> mpf:
+def _limit_value(expr: HarmonicExpr, n: int) -> mpf:
     """``expr`` at n with H_1 -> ln n + gamma and H_m -> zeta(m) for m >= 2.
 
-    zeta(m) is taken at the precision of ``consts``, so it equals
-    ``consts.zeta[m]`` where that exists.
+    gamma, ln n and zeta(m) are mpmath's at the caller's working precision.
     """
-    with mp.workdps(consts.precision + 10):
-        h = {m: mp.zeta(m) for mono in expr.terms for m, _ in mono.h_powers if m > 1}
-    h[1] = mp.log(mpf(n)) + consts.gamma
+    h = {m: mp.zeta(m) for mono in expr.terms for m, _ in mono.h_powers if m > 1}
+    h[1] = mp.log(mpf(n)) + mp.euler
     return expr.evaluate_real(n, h)
 
 
@@ -73,73 +77,61 @@ def scaled_moment_limit(
     expr_r: HarmonicExpr,
     expr_2: HarmonicExpr,
     precision: int = 50,
-    *,
-    points: tuple[int, ...] = LIMIT_POINTS,
-    min_stability: int = 12,
 ) -> AsymptoticValue:
     """Limit of m_r(n)/m_2(n)^(r/2) from verified closed forms.
 
-    Evaluates the leading parts at each point with limit substitution and
-    requires ``min_stability`` agreeing digits; an expression whose top
-    terms retain ln n growth (or with mismatched degrees, e.g. an
-    unverified fit) fails the gate with :class:`StabilityError` instead of
-    silently returning a drifting number.  Odd-order limits keep their
-    sign.
+    Evaluates the leading parts at each of :data:`LIMIT_POINTS` with limit
+    substitution and requires :data:`LIMIT_STABILITY` agreeing digits; an
+    expression whose top terms retain ln n growth (or with mismatched
+    degrees, e.g. an unverified fit) fails the gate with
+    :class:`StabilityError` instead of silently returning a drifting number.
+    Odd-order limits keep their sign.
     """
     if r < 2:
         raise ValueError("scaled moments are defined for r >= 2")
     check_precision(precision)
-    if len(points) < 2:
-        raise ValueError("need at least two evaluation points")
     with mp.workdps(precision + 15):
-        consts = guarded_constants(precision, 10)
         tops_r = HarmonicExpr(expr_r.top_terms())
         tops_2 = HarmonicExpr(expr_2.top_terms())
         values = []
-        for n in points:
-            num = _limit_value(tops_r, n, consts)
-            den = _limit_value(tops_2, n, consts)
+        for n in LIMIT_POINTS:
+            num = _limit_value(tops_r, n)
+            den = _limit_value(tops_2, n)
             if den <= 0:
                 raise StabilityError(
                     f"variance leading part is non-positive at n={n}"
                 )
             values.append(num / den ** (mpf(r) / 2))
         stability = _agreement_digits(values, precision)
-        if stability < min_stability:
+        if stability < LIMIT_STABILITY:
             raise StabilityError(
                 f"scaled moment limit r={r} unstable: {stability} agreeing "
-                f"digits across n={points}, need {min_stability}"
+                f"digits across n={LIMIT_POINTS}, need {LIMIT_STABILITY}"
             )
         return AsymptoticValue(
-            value=+values[-1], n_used=tuple(points), stability=stability
+            value=+values[-1], n_used=LIMIT_POINTS, stability=stability
         )
 
 
-def leading_coefficient(
-    expr: HarmonicExpr,
-    precision: int = 50,
-    *,
-    points: tuple[int, ...] = LEAD_POINTS,
-    min_stability: int = 20,
-) -> mpf:
+def leading_coefficient(expr: HarmonicExpr, precision: int = 50) -> mpf:
     """Numeric limit of expr(n)/n^deg under limit substitution.
 
-    ``deg`` is the top n-degree of the expression.  Evaluation points are
-    large enough that subleading ln n terms lie beyond ``min_stability``
-    digits; instability is raised, not returned.
+    ``deg`` is the top n-degree of the expression.  The evaluation points
+    :data:`LEAD_POINTS` are large enough that subleading ln n terms lie
+    beyond :data:`LEAD_STABILITY` digits; instability is raised, not
+    returned.
     """
     check_precision(precision)
     if expr.is_zero():
         raise ValueError("leading coefficient of the zero expression")
     with mp.workdps(precision + 15):
-        consts = guarded_constants(precision, 10)
         deg = expr.max_n_power()
-        values = [_limit_value(expr, n, consts) / mpf(n) ** deg for n in points]
+        values = [_limit_value(expr, n) / mpf(n) ** deg for n in LEAD_POINTS]
         stability = _agreement_digits(values, precision)
-        if stability < min_stability:
+        if stability < LEAD_STABILITY:
             raise StabilityError(
                 f"leading coefficient unstable: {stability} agreeing digits "
-                f"across n={points}, need {min_stability}"
+                f"across n={LEAD_POINTS}, need {LEAD_STABILITY}"
             )
         return +values[-1]
 
@@ -177,8 +169,7 @@ def mean_asymptotic_check(precision: int = 50) -> mpf:
     with mp.workdps(precision + 10):
         n = 10**8
         cn = evaluate_asymptotic(known_mean(), n, precision)
-        gamma = guarded_constants(precision, 5).gamma
-        ratio = (cn - (2 * gamma - 4) * n) / (mpf(n) * mp.log(n))
+        ratio = (cn - (2 * mp.euler - 4) * n) / (mpf(n) * mp.log(n))
         if abs(ratio - 2) > mpf("1e-5"):
             raise StabilityError(
                 f"mean growth sanity check failed: ratio {ratio} not near 2"

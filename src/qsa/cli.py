@@ -2,7 +2,8 @@
 
 One subcommand per analysis surface, machine-readable output only (CSV or
 JSON, selected with --format where both are defined), deterministic for a
-fixed flag set and seed.  ``--out FILE`` redirects output to a file.
+fixed flag set and seed.  ``--out FILE`` redirects output to a file in an
+existing, writable directory.
 
 Config precedence is flags > environment (QSA_NMAX, QSA_NMAX_GUESS,
 QSA_PRECISION, QSA_SURROGATE) > built-in defaults.  Every ``--precision``
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from fractions import Fraction
 
 import click
@@ -75,12 +77,13 @@ class _PositiveFractionParam(click.ParamType):
 
 
 def _domain_errors(fn):
-    # computation failures exit 1; click handles usage errors with exit 2
+    # computation failures, and a failed write of --out, exit 1; click
+    # handles usage errors with exit 2
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (QsaError, ValueError) as exc:
+        except (QsaError, ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
@@ -94,10 +97,21 @@ def _write(text: str, out) -> None:
             fh.write(text + "\n")
 
 
+def _check_out_dir(ctx, param, value):
+    # click.Path checks the file, not the directory it is to be made in
+    if value is not None:
+        folder = os.path.dirname(os.path.abspath(value))
+        if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
+            raise click.BadParameter(
+                f"directory {folder!r} does not exist or is not writable"
+            )
+    return value
+
+
 def _out_option(fn):
     return click.option(
         "--out", type=click.Path(dir_okay=False, writable=True), default=None,
-        help="Write output to a file instead of stdout.",
+        callback=_check_out_dir, help="Write output to a file instead of stdout.",
     )(fn)
 
 

@@ -49,9 +49,12 @@ VERIFIED = "verified"
 REFUTED = "refuted"
 UNDETERMINED = "underdetermined"
 
-DEFAULT_SLACK = 5
-DEFAULT_TEST_POINTS = 150
-DEFAULT_TEST_FLOOR = 306
+#: A fit's train system has at least SLACK more equations than monomials.
+SLACK = 5
+#: guess_moment's own test windows hold at least TEST_POINTS points and reach
+#: at least n = TEST_FLOOR.
+TEST_POINTS = 150
+TEST_FLOOR = 306
 
 _MAX_PRIMES = 32
 
@@ -236,6 +239,9 @@ class HarmonicExpr:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it must hash as one
+        if self._terms.keys() <= {Monomial(0)}:
+            return hash(self._terms.get(Monomial(0), Fraction(0)))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self):
@@ -575,13 +581,12 @@ def fit(
     monomials: Sequence[Monomial],
     train: RangeLike,
     test: RangeLike,
-    slack: int = DEFAULT_SLACK,
 ) -> FitReport:
     """Solve for template coefficients on ``train``, confirm on ``test``.
 
     ``data`` maps n to the exact sequence value.  The windows must share no
     point, or the test would re-check training equations.  The train
-    system must be overdetermined by at least ``slack`` equations.  The
+    system must be overdetermined by at least :data:`SLACK` equations.  The
     returned report is "verified" only if the reconstructed rational
     coefficients reproduce every train *and* test value exactly.
     """
@@ -597,10 +602,10 @@ def fit(
             f"train and test windows must be disjoint, but share {len(shared)} "
             f"point(s) in n = {lo}..{hi}"
         )
-    if len(train_pts) < len(monos) + slack:
+    if len(train_pts) < len(monos) + SLACK:
         raise InsufficientDataError(
-            f"need at least {len(monos) + slack} training points for "
-            f"{len(monos)} monomials (slack {slack}), got {len(train_pts)}"
+            f"need at least {len(monos) + SLACK} training points for "
+            f"{len(monos)} monomials (slack {SLACK}), got {len(train_pts)}"
         )
     for n in (*train_pts, *test_pts):
         if n not in data:
@@ -702,9 +707,6 @@ def guess_moment(
     r: int,
     n_max_data: int | None = None,
     *,
-    slack: int = DEFAULT_SLACK,
-    test_points: int = DEFAULT_TEST_POINTS,
-    test_floor: int = DEFAULT_TEST_FLOOR,
     data: Mapping[int, Fraction] | None = None,
     train: RangeLike | None = None,
     test: RangeLike | None = None,
@@ -716,8 +718,8 @@ def guess_moment(
     the truncated-series route (and cached); ``n_max_data`` caps how far it
     may be generated, raising :class:`InsufficientDataError` when the cap
     makes a template unfittable.  By default each template gets its own
-    windows: ``slack`` more training points than monomials, then at least
-    ``test_points`` test points and at least through ``test_floor``.
+    windows: :data:`SLACK` more training points than monomials, then at least
+    :data:`TEST_POINTS` test points and at least through :data:`TEST_FLOOR`.
     ``train`` and ``test`` (given together) fix both windows for every
     template instead, and ``n_max_data`` is then unused.  Orders above
     :data:`MAX_FIT_ORDER` are rejected before any data is built.
@@ -735,8 +737,8 @@ def guess_moment(
             windows = (train, test)
             top = max(_as_points(train) + _as_points(test))
         else:
-            train_end = len(monos) + slack
-            top = max(test_floor, train_end + test_points)
+            train_end = len(monos) + SLACK
+            top = max(TEST_FLOOR, train_end + TEST_POINTS)
             if n_max_data is not None:
                 if n_max_data < train_end + 1:
                     raise InsufficientDataError(
@@ -746,7 +748,7 @@ def guess_moment(
                 top = min(top, n_max_data)
             windows = ((1, train_end), (train_end + 1, top))
         table = data if data is not None else _moment_data(r, top)
-        report = fit(table, monos, *windows, slack=slack)
+        report = fit(table, monos, *windows)
         report.degree = d
         if report.status == VERIFIED:
             return report

@@ -48,6 +48,9 @@ from .pgf import scaled_pgf
 
 DEFAULT_ORDER = 10
 
+#: moment_table checks its entries through this n against the exact PGF.
+CROSS_CHECK_UPTO = 12
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -263,18 +266,13 @@ def _moment_values(r: int, kind: str, ns: range) -> dict[int, Fraction]:
     return values
 
 
-def moment_table(
-    n_max: int,
-    r: int,
-    kind: str = "central",
-    cross_check_upto: int = 12,
-) -> MomentTable:
+def moment_table(n_max: int, r: int, kind: str = "central") -> MomentTable:
     """Moments of order r for every n = 0..n_max, via the series route.
 
     ``kind`` selects raw moments E[X_n^r] or central moments about the
-    mean.  The first ``cross_check_upto`` entries are verified against the
-    exact-PGF route; disagreement raises :class:`CrossCheckError` (it would
-    mean one of the two recurrence implementations is wrong).
+    mean.  The entries through n = :data:`CROSS_CHECK_UPTO` are verified
+    against the exact-PGF route; disagreement raises :class:`CrossCheckError`
+    (it would mean one of the two recurrence implementations is wrong).
 
     The shared series table is raised to order r if it is lower, and rows
     0..n_max are brought to its order, so every r >= 0 is served.
@@ -285,7 +283,7 @@ def moment_table(
         raise ValueError("invalid moment order")
     values = _moment_values(r, kind, range(n_max + 1))
     table = MomentTable(order=r, kind=kind, values=values)
-    limit = min(cross_check_upto, n_max)
+    limit = min(CROSS_CHECK_UPTO, n_max)
     exact = raw_moment if kind == "raw" else central_moment
     for n in range(1 if kind == "central" else 0, limit + 1):
         if table.values[n] != exact(n, r):

@@ -1,4 +1,4 @@
-"""Exact rational scalars, harmonic numbers, and high-precision constants.
+"""Exact rational scalars, harmonic numbers, and the precision policy.
 
 All distribution and moment arithmetic in this package is carried out over
 ``fractions.Fraction`` (arbitrary-precision, always reduced, positive
@@ -7,27 +7,23 @@ floating-point.  High-precision reals are mpmath floats created under an
 explicit working precision; the helpers here never touch the global mpmath
 context outside a ``workdps`` block.
 
-Two families of quantities live here:
+The module holds generalized harmonic numbers ``H_m(n) = sum_{i=1}^n 1/i^m``,
+exact (Fraction) and, for very large ``n``, as Euler-Maclaurin enclosures
+with a rigorous error bound.  Which of the two a closed form at real
+precision uses is decided in one place, ``qsa.fitting.evaluate_asymptotic``.
 
-* generalized harmonic numbers ``H_m(n) = sum_{i=1}^n 1/i^m``, exact
-  (Fraction) and, for very large ``n``, as Euler-Maclaurin enclosures with
-  a rigorous error bound.  Which of the two a closed form at real precision
-  uses is decided in one place, ``qsa.fitting.evaluate_asymptotic``;
-* the classical constants gamma, pi and zeta(m) that appear in the
-  large-``n`` behaviour of the comparison-count moments.
-
-The constants come from mpmath (``mp.euler``, ``mp.pi``, ``mp.zeta``) at the
-working precision, and the test suite re-derives them by independent series.
-The module also owns the precision policy: the range every evaluation
-accepts, and how those precisions ask for constants.  The range constants
-(``MIN_PRECISION``, ``MAX_PRECISION``, ``PRECISION_RANGE``) are defined in
-``qsa._ranges``, which imports nothing, and re-exported here.
+The constants gamma and zeta(m) that appear in the large-``n`` behaviour of
+the comparison-count moments are mpmath's (``mp.euler``, ``mp.zeta``), taken
+by each evaluation at its own working precision; the test suite re-derives
+them by independent series.  The module also owns the precision policy: the
+one range every evaluation and the command line accept,
+``PRECISION_RANGE``, defined in ``qsa._ranges``, which imports nothing, and
+re-exported here.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -36,10 +32,8 @@ from math import comb, factorial, prod
 from mpmath import mp, mpf
 
 from ._intops import big, big_gcd
-from ._ranges import MAX_PRECISION, MIN_PRECISION, PRECISION_RANGE
+from ._ranges import PRECISION_RANGE
 from .errors import EnclosureError
-
-Rational = Fraction
 
 # -----------------------------------------------------------------------
 # Exact harmonic numbers
@@ -187,42 +181,6 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
 
 
 # -----------------------------------------------------------------------
-# Constants
-# -----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Constants:
-    """gamma, pi and zeta(2..8), carried to ``precision + 10`` significant digits."""
-
-    gamma: mpf
-    pi: mpf
-    zeta: dict[int, mpf] = field(repr=False)
-    precision: int = MIN_PRECISION
-
-
-def constants(precision: int = MIN_PRECISION) -> Constants:
-    """The mathematical constants used by the asymptotic evaluations.
-
-    ``precision`` is the number of significant decimal digits and must lie
-    in [MIN_PRECISION, MAX_PRECISION]; the values are mpmath's, rounded to
-    ``precision + 10`` digits.
-    """
-    if not (isinstance(precision, int) and MIN_PRECISION <= precision <= MAX_PRECISION):
-        raise ValueError(
-            f"constants() takes precision {MIN_PRECISION}..{MAX_PRECISION}, "
-            f"got {precision!r}"
-        )
-    with mp.workdps(precision + 10):
-        return Constants(
-            gamma=+mp.euler,
-            pi=+mp.pi,
-            zeta={m: mp.zeta(m) for m in range(2, 9)},
-            precision=precision,
-        )
-
-
-# -----------------------------------------------------------------------
 # Precision policy
 # -----------------------------------------------------------------------
 
@@ -240,13 +198,3 @@ def check_precision(precision: int) -> None:
             f"got {precision!r}"
         )
 
-
-def guarded_constants(precision: int, guard: int) -> Constants:
-    """:func:`constants` at ``precision + guard`` digits, clamped into its range.
-
-    This is how every evaluation at an accepted precision asks for its
-    constants: the guard digits absorb rounding in the evaluation, and the
-    clamp keeps every precision's guard digits, and so its outputs, as they
-    are (see :data:`MIN_PRECISION`).
-    """
-    return constants(min(max(precision + guard, MIN_PRECISION), MAX_PRECISION))

@@ -31,7 +31,6 @@ from qsa.moments import (
     moments_from_factorial,
     raw_moment,
 )
-from qsa.numeric import constants
 from qsa.pgf import pgf
 from qsa.simulate import (
     SimConfig,
@@ -122,10 +121,11 @@ def test_criterion_05_fourth_moment_leading_coefficient(fits):
     """Leading n^4 coefficient: 0.73794549 within 1e-8, and equal to
     2260/9 - 28 pi^2 + (4/15) pi^4 to at least 20 digits."""
     lead = leading_coefficient(fits[4].expr, precision=50)
-    c = constants(60)
+    with mp.workdps(70):
+        pi = +mp.pi
     with mp.workdps(60):
         assert abs(lead - mpf("0.73794549")) < mpf("1e-8")
-        closed = mpf(2260) / 9 - 28 * c.pi**2 + mpf(4) / 15 * c.pi**4
+        closed = mpf(2260) / 9 - 28 * pi**2 + mpf(4) / 15 * pi**4
         assert abs(lead - closed) < mpf(10) ** -20
 
 

@@ -27,28 +27,29 @@ from qsa.moments import central_moment, raw_moment
 from qsa.numeric import (
     PRECISION_RANGE,
     bernoulli,
-    constants,
     harmonic,
 )
 
 
-def closed_form_limit(r: int) -> mpf:
-    """Scaled limit of order r = 3, 4 or 5 in pi and zeta, at 70 digits.
+def closed_form_limit(r: int, digits: int = 70) -> mpf:
+    """Scaled limit of order r = 3, 4 or 5 in pi and zeta, at ``digits`` digits.
 
     The numerators are the limits of m_r(n)/n^r; the denominator is the
-    variance's, 7 - 2 pi^2/3, to the power r/2.
+    variance's, 7 - 2 pi^2/3, to the power r/2.  pi and zeta carry ten
+    digits more.
     """
-    c = constants(70)
-    with mp.workdps(70):
+    with mp.workdps(digits + 10):
+        pi, zeta3, zeta5 = +mp.pi, mp.zeta(3), mp.zeta(5)
+    with mp.workdps(digits):
         numerators = {
-            3: 16 * c.zeta[3] - 19,
-            4: mpf(2260) / 9 - 28 * c.pi**2 + mpf(4) / 15 * c.pi**4,
+            3: 16 * zeta3 - 19,
+            4: mpf(2260) / 9 - 28 * pi**2 + mpf(4) / 15 * pi**4,
             5: -mpf(229621) / 108
-            + mpf(380) / 3 * c.pi**2
-            + (1120 - mpf(320) / 3 * c.pi**2) * c.zeta[3]
-            + 768 * c.zeta[5],
+            + mpf(380) / 3 * pi**2
+            + (1120 - mpf(320) / 3 * pi**2) * zeta3
+            + 768 * zeta5,
         }
-        return numerators[r] / (7 - 2 * c.pi**2 / 3) ** (mpf(r) / 2)
+        return numerators[r] / (7 - 2 * pi**2 / 3) ** (mpf(r) / 2)
 
 
 def agreeing_digits(a: mpf, b: mpf) -> mpf:
@@ -125,18 +126,35 @@ class TestFixedPointOracle:
             assert agreeing_digits(fixed_point_limits[r], closed_form_limit(r)) >= 45
 
 
+class TestPrecisionRangeEnds:
+    """The limits hold the precision asked for, and five digits more, at
+    both ends of PRECISION_RANGE, against the closed forms at 30 digits more."""
+
+    @pytest.mark.parametrize("precision", PRECISION_RANGE)
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_scaled_moment_limit(self, r, precision):
+        val = scaled_moment_limit(
+            r, known_central_moment(r), known_central_moment(2), precision
+        )
+        with mp.workdps(precision + 30):
+            truth = closed_form_limit(r, precision + 30)
+            assert agreeing_digits(val.value, truth) >= precision + 5
+
+
 class TestLeadingCoefficient:
     def test_variance_leading_coefficient(self):
         lead = leading_coefficient(known_central_moment(2))
-        c = constants(70)
+        with mp.workdps(80):
+            pi = +mp.pi
         with mp.workdps(70):
-            assert abs(lead - (7 - 2 * c.pi**2 / 3)) < mpf(10) ** -25
+            assert abs(lead - (7 - 2 * pi**2 / 3)) < mpf(10) ** -25
 
     def test_third_moment_leading_coefficient(self):
         lead = leading_coefficient(known_central_moment(3))
-        c = constants(70)
+        with mp.workdps(80):
+            zeta3 = mp.zeta(3)
         with mp.workdps(70):
-            assert abs(lead - (16 * c.zeta[3] - 19)) < mpf(10) ** -25
+            assert abs(lead - (16 * zeta3 - 19)) < mpf(10) ** -25
 
     def test_zero_expression_rejected(self):
         with pytest.raises(ValueError):
@@ -144,8 +162,9 @@ class TestLeadingCoefficient:
 
 
 class TestLowestPrecision:
-    """The lowest accepted precision asks constants() for fewer digits than
-    its table holds; the request is clamped, not rejected."""
+    """The lowest accepted precision works like any other: gamma and zeta(m)
+    are taken at its own working precision, and the results keep the digits
+    it asks for."""
 
     lowest = PRECISION_RANGE[0]
 
@@ -158,9 +177,10 @@ class TestLowestPrecision:
 
     def test_leading_coefficient(self):
         lead = leading_coefficient(known_central_moment(2), self.lowest)
-        c = constants(70)
+        with mp.workdps(80):
+            pi = +mp.pi
         with mp.workdps(70):
-            assert abs(lead - (7 - 2 * c.pi**2 / 3)) < mpf(10) ** -25
+            assert abs(lead - (7 - 2 * pi**2 / 3)) < mpf(10) ** -25
 
     def test_mean_asymptotic_check(self):
         val = mean_asymptotic_check(self.lowest)
@@ -171,7 +191,7 @@ class TestLowestPrecision:
 def tail_sum_zeta(m: int) -> mpf:
     """zeta(m) from exact H_m(200) plus its Euler-Maclaurin tail, at 95 digits.
 
-    The same route as ``test_numeric``'s check of constants().zeta.
+    The same route as ``test_numeric``'s check of mpmath's zeta(m).
     """
     n = 200
     exact = harmonic(m, n)
@@ -192,8 +212,8 @@ def tail_sum_zeta(m: int) -> mpf:
 
 
 class TestBeyondZetaEight:
-    """H_m with m > 8, whose zeta(m) constants() does not list, substitutes
-    like any other H_m; the truth is the tail-sum zeta(9)."""
+    """H_m with m > 8, past the zeta(2..8) the package once tabulated,
+    substitutes like any other H_m; the truth is the tail-sum zeta(9)."""
 
     N, H9 = HarmonicExpr.variable(), HarmonicExpr.harmonic(9)
 
@@ -282,11 +302,12 @@ class TestFiniteSizeDiagnostics:
     def test_mean_ratio_approaches_two(self):
         # raw c_n/(n ln n) converges like 1/ln n; after removing the known
         # linear correction it is within 1e-5 of 2 at n = 10^8
-        c = constants(60)
+        with mp.workdps(70):
+            gamma = +mp.euler
         n = 10**8
         with mp.workdps(60):
             cn = evaluate_asymptotic(known_mean(), n)
-            corrected = (cn - (2 * c.gamma - 4) * n) / (mpf(n) * mp.log(n))
+            corrected = (cn - (2 * gamma - 4) * n) / (mpf(n) * mp.log(n))
             assert abs(corrected - 2) < mpf("1e-5")
             raw = mean_over_nlogn(n)
             assert abs(raw - 2) > mpf("0.01")  # the O(1/ln n) term is visible

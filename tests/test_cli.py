@@ -46,6 +46,30 @@ class TestPgfCommand:
         run_ok(runner, ["pgf", "--n", "3", "--out", str(target)])
         assert target.read_text() == "2,1,3\n3,2,3\n"
 
+    def test_out_into_missing_directory_is_usage_error(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # refused while the options are parsed, before anything is computed
+        monkeypatch.setattr("qsa.cli.exact_pgf", lambda n: pytest.fail("computed"))
+        target = tmp_path / "missing" / "dist.csv"
+        result = runner.invoke(cli, ["pgf", "--n", "3", "--out", str(target)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if "Error" in line]
+        assert errors == [
+            f"Error: Invalid value for '--out': directory "
+            f"{str(target.parent)!r} does not exist or is not writable"
+        ]
+        assert not target.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_fails_with_one_line(self, runner):
+        # /dev/full accepts the open and refuses the write (ENOSPC)
+        result = runner.invoke(cli, ["pgf", "--n", "3", "--out", "/dev/full"])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("Error: [Errno 28]")
+
 
 class TestMomentCommands:
     def test_single_moment_json(self, runner):

@@ -91,6 +91,14 @@ class TestHarmonicExpr:
         assert z.is_zero()
         assert (known_mean() - known_mean()).is_zero()
 
+    def test_constants_hash_like_the_numbers_they_equal(self):
+        for value in (0, 5, Fraction(-3, 7)):
+            expr = HarmonicExpr.constant(value)
+            assert expr == value and hash(expr) == hash(value)
+            assert len({expr, value}) == 1
+        assert len({HarmonicExpr.zero(), 0}) == 1
+        assert HarmonicExpr.variable() != 5
+
     def test_evaluate_rejects_bad_n(self):
         with pytest.raises(ValueError):
             known_mean().evaluate(0)

@@ -83,8 +83,7 @@ def test_distribution_commands_load_no_numpy(args):
 
 @pytest.mark.parametrize("name", qsa.__all__)
 def test_public_name_is_its_submodule_attribute(name):
-    # __module__ is not enough: Rational is fractions.Fraction, and the
-    # constants are plain strings
+    # __module__ is not enough: the constants are plain strings
     homes = [
         m for m in ("errors", "pgf", *LAYERS)
         if hasattr(importlib.import_module(f"qsa.{m}"), name)

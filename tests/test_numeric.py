@@ -1,7 +1,8 @@
 """Exact harmonic numbers, Euler-Maclaurin asymptotics, and constants.
 
-The constants, which the package takes from mpmath, are re-derived here
-through independent routes: gamma from exact harmonic numbers minus the log
+The constants, which the package takes from mpmath (``mp.euler``, ``mp.pi``,
+``mp.zeta``) at its working precision, are re-derived here through
+independent routes: gamma from exact harmonic numbers minus the log
 and tail corrections, zeta(m) from tail-accelerated exact partial sums, pi
 from Machin's formula.
 """
@@ -17,9 +18,7 @@ from qsa.errors import EnclosureError
 from qsa.fitting import _GUARD, HarmonicExpr, evaluate_asymptotic, known_mean
 from qsa.numeric import (
     _PREFIX_LIMIT,
-    MAX_PRECISION,
     bernoulli,
-    constants,
     harmonic,
     harmonic_enclosure,
 )
@@ -147,7 +146,8 @@ class TestHarmonicAsymptotic:
             harmonic_enclosure(1, 1, 3)
 
     def test_m2_approaches_zeta2(self):
-        z2 = constants(60).zeta[2]
+        with mp.workdps(70):
+            z2 = mp.zeta(2)
         with mp.workdps(60):
             for n, tol in ((10**4, "1e-3"), (10**6, "1e-5")):
                 assert abs(harmonic_enclosure(2, n, 60)[0] - z2) < mpf(tol)
@@ -214,30 +214,27 @@ def test_bools_and_non_integers_are_rejected(call, match):
 
 
 class TestConstants:
-    def test_precision_validation(self):
-        with pytest.raises(ValueError):
-            constants(49)
-        with pytest.raises(ValueError):
-            constants(MAX_PRECISION + 1)
-
     def test_gamma_leading_digits(self):
-        c = constants(50)
+        with mp.workdps(60):
+            gamma = +mp.euler
         with mp.workdps(55):
-            assert abs(c.gamma - mpf("0.5772156649")) < mpf("1e-10")
+            assert abs(gamma - mpf("0.5772156649")) < mpf("1e-10")
 
     def test_zeta2_is_pi_squared_over_six(self):
-        c = constants(60)
+        with mp.workdps(70):
+            zeta2, pi = mp.zeta(2), +mp.pi
         with mp.workdps(60):
-            assert abs(c.zeta[2] - c.pi**2 / 6) < mpf(10) ** -58
+            assert abs(zeta2 - pi**2 / 6) < mpf(10) ** -58
 
     def test_zeta3_leading_digits(self):
-        c = constants(50)
+        with mp.workdps(60):
+            zeta3 = mp.zeta(3)
         with mp.workdps(55):
-            assert abs(c.zeta[3] - mpf("1.2020569")) < mpf("1e-7")
+            assert abs(zeta3 - mpf("1.2020569")) < mpf("1e-7")
 
     def test_zeta_strictly_decreasing_toward_one(self):
-        c = constants(50)
-        vals = [c.zeta[m] for m in range(2, 9)]
+        with mp.workdps(60):
+            vals = [mp.zeta(m) for m in range(2, 9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > 1 for v in vals)
 
@@ -251,14 +248,15 @@ class TestConstants:
             for k in range(1, 17):
                 b = bernoulli(2 * k)
                 val += mpf(b.numerator) / mpf(b.denominator) / (2 * k * mpf(n) ** (2 * k))
-            assert abs(val - constants(80).gamma) < mpf(10) ** -70
+            assert abs(val - mp.euler) < mpf(10) ** -70
 
     def test_zeta_against_independent_tail_sums(self):
         # zeta(m) = H_m(n) + n^(1-m)/(m-1) - corrections, exact H
         from math import factorial, prod
 
         n = 200
-        c = constants(80)
+        with mp.workdps(90):
+            zeta = {m: mp.zeta(m) for m in range(2, 9)}
         for m in range(2, 9):
             exact = harmonic(m, n)
             with mp.workdps(95):
@@ -276,7 +274,7 @@ class TestConstants:
                         / mpf(coeff.denominator)
                         / mpf(n) ** (m + 2 * k - 1)
                     )
-                assert abs(val - c.zeta[m]) < mpf(10) ** -70, m
+                assert abs(val - zeta[m]) < mpf(10) ** -70, m
 
     def test_pi_against_machin_formula(self):
         # pi = 16 arctan(1/5) - 4 arctan(1/239), arctan(1/x) by its series
@@ -288,9 +286,11 @@ class TestConstants:
                 k += 1
             return total
 
+        with mp.workdps(110):
+            pi = +mp.pi
         with mp.workdps(120):
             machin = 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
-            assert abs(constants(100).pi - machin) < mpf(10) ** -99
+            assert abs(pi - machin) < mpf(10) ** -99
 
     def test_doubled_precision_recomputation(self):
         # HighReal error-bound invariant: values at dps 50 vs dps 100 agree
