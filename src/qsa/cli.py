@@ -2,8 +2,8 @@
 
 One subcommand per analysis surface, machine-readable output only (CSV or
 JSON, selected with --format where both are defined), deterministic for a
-fixed flag set and seed.  ``--out FILE`` redirects output to a file in an
-existing, writable directory.
+fixed flag set and seed.  ``--out FILE`` redirects output to a file: an
+existing writable one, or a new one in an existing, writable directory.
 
 Config precedence is flags > environment (QSA_NMAX, QSA_NMAX_GUESS,
 QSA_PRECISION, QSA_SURROGATE) > built-in defaults.  Every ``--precision``
@@ -98,8 +98,9 @@ def _write(text: str, out) -> None:
 
 
 def _check_out_dir(ctx, param, value):
-    # click.Path checks the file, not the directory it is to be made in
-    if value is not None:
+    # click.Path checks an existing file; a file still to be made needs a
+    # directory it can be made in (writing an existing file does not)
+    if value is not None and not os.path.exists(value):
         folder = os.path.dirname(os.path.abspath(value))
         if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
             raise click.BadParameter(

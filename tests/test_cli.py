@@ -62,6 +62,27 @@ class TestPgfCommand:
         ]
         assert not target.parent.exists()
 
+    def test_out_to_existing_file_in_read_only_directory(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # an existing file is written in place; its directory need not be
+        # writable. The directory is reported unwritable to every caller, as
+        # it is to a user without write permission on it, whoever runs this.
+        target = tmp_path / "dist.csv"
+        target.write_text("old\n")
+        access = os.access
+        monkeypatch.setattr(
+            os, "access",
+            lambda path, mode, **kw: False if os.path.isdir(path) and mode & os.W_OK
+            else access(path, mode, **kw),
+        )
+        run_ok(runner, ["pgf", "--n", "3", "--out", str(target)])
+        assert target.read_text() == "2,1,3\n3,2,3\n"
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    def test_out_to_null_device(self, runner):
+        assert run_ok(runner, ["pgf", "--n", "3", "--out", os.devnull]) == ""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_fails_with_one_line(self, runner):
         # /dev/full accepts the open and refuses the write (ENOSPC)
