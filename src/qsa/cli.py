@@ -15,7 +15,7 @@ Every command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads click, the exception types and the exact-PGF
 layer, and nothing else of the package; each command imports the layers it
 runs in its body.  ``pgf``, ``moment``, ``moments-table``, ``oracle`` and
-``simulate`` never load mpmath, and only ``guess`` and ``limits`` load numpy.
+``simulate`` never load mpmath, and no command loads numpy.
 """
 
 from __future__ import annotations

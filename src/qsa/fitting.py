@@ -30,16 +30,16 @@ independent primes to agree.
 from __future__ import annotations
 
 import random
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from operator import mul
+from typing import Iterable, Mapping, Sequence, Union
 
 from mpmath import mp, mpf
-
-if TYPE_CHECKING:
-    import numpy as np
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
 from .moments import _moment_values, moment_table
@@ -57,6 +57,17 @@ TEST_POINTS = 150
 TEST_FLOOR = 306
 
 _MAX_PRIMES = 32
+
+# The train system is solved on rows packed into _SLOT_BITS-bit slots, modulo
+# primes below 2^_PRIME_BITS.
+_SLOT_BITS = 64
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_PRIME_BITS = 25
+
+#: The most monomials a fit takes.  A slot starts below p and gains less than
+#: p^2 per pivot, so it stays below 2^64 for fewer than 2^(64 - 2*25) = 2^14
+#: pivots: p - 1 + k(p - 1)^2 < 2^64 for k < 2^14 and p < 2^25.
+MAX_TEMPLATE_SIZE = 2 ** (_SLOT_BITS - 2 * _PRIME_BITS) - 1
 
 #: The largest moment order guess_moment fits.  Order 9's d = 9 template has
 #: 970 monomials (603 at order 8) and needs exact moment data to n = 1125.
@@ -449,10 +460,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _fresh_prime(rng: random.Random, used: set[int]) -> int:
-    # 24-25 bit primes keep int64 elimination overflow-safe (p^2 < 2^50)
-    # while staying far above every denominator prime factor (<= n_max).
+    # 25-bit primes (_PRIME_BITS) are small enough for the 64-bit slots of
+    # _solve_mod_p (see MAX_TEMPLATE_SIZE) and far above every denominator
+    # prime factor (<= n_max).
     while True:
-        c = rng.randrange(1 << 24, 1 << 25) | 1
+        c = rng.randrange(1 << (_PRIME_BITS - 1), 1 << _PRIME_BITS) | 1
         if c not in used and _is_prime(c):
             used.add(c)
             return c
@@ -460,34 +472,37 @@ def _fresh_prime(rng: random.Random, used: set[int]) -> int:
 
 def _matrix_mod_p(
     monomials: Sequence[Monomial], points: Sequence[int], p: int
-) -> np.ndarray:
-    import numpy as np  # only fits need numpy; keep it out of other imports
+) -> list[array]:
+    """Columns of the train matrix mod p, one per monomial, one entry per point.
 
+    Each monomial's column is its parent's (the monomial with one factor of
+    n or H_m less) times that factor, pointwise; parents are memoised.
+    """
     n_top = max(points)
-    inv = [0] * (n_top + 1)
-    for i in range(1, n_top + 1):
-        inv[i] = pow(i, p - 2, p)
-    pts = np.asarray(points, dtype=np.int64)
-    h_mod: dict[int, np.ndarray] = {}
+    inv = [0] + [pow(i, p - 2, p) for i in range(1, n_top + 1)]
+    factors: dict[int, list[int]] = {0: [n % p for n in points]}
     for m in range(1, _max_m(monomials) + 1):
         prefix = [0] * (n_top + 1)
         acc = 0
         for i in range(1, n_top + 1):
             acc = (acc + pow(inv[i], m, p)) % p
             prefix[i] = acc
-        h_mod[m] = np.asarray(prefix, dtype=np.int64)[pts]
-    n_mod = pts % p
-    cols = []
-    for mono in monomials:
-        col = np.ones(len(points), dtype=np.int64)
-        for _ in range(mono.n_power):
-            col = col * n_mod % p
-        for m, e in mono.h_powers:
-            hm = h_mod[m]
-            for _ in range(e):
-                col = col * hm % p
-        cols.append(col)
-    return np.stack(cols, axis=1)
+        factors[m] = [prefix[n] for n in points]
+    memo = {Monomial(0): array("Q", [1]) * len(points)}
+
+    def column(mono: Monomial) -> array:
+        col = memo.get(mono)
+        if col is None:
+            if mono.n_power:
+                parent, m = Monomial(mono.n_power - 1, mono.h_powers), 0
+            else:
+                *rest, (m, e) = mono.h_powers
+                parent = Monomial(0, (*rest, (m, e - 1)))
+            products = zip(column(parent), factors[m])
+            col = memo[mono] = array("Q", [u * v % p for u, v in products])
+        return col
+
+    return [column(mono) for mono in monomials]
 
 
 def _rhs_mod_p(data, points: Sequence[int], p: int) -> list[int]:
@@ -501,45 +516,64 @@ def _rhs_mod_p(data, points: Sequence[int], p: int) -> list[int]:
     return vals
 
 
-def _solve_mod_p(A: np.ndarray, b: Sequence[int], p: int):
-    """Gaussian elimination of [A|b] over GF(p).
+def _pack(values: Iterable[int]) -> int:
+    """One int holding ``values`` in 64-bit slots, the first value lowest."""
+    slots = array("Q", values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _unpack(packed: int, count: int) -> array:
+    slots = array("Q", packed.to_bytes(count * _SLOT_BITS // 8, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
+def _solve_mod_p(columns: Sequence[Sequence[int]], b: Sequence[int], p: int):
+    """Gaussian elimination of [A|b] over GF(p) on packed rows.
+
+    A is given by its columns; they and b hold residues in 0..p-1.  Each row
+    is one int of 64-bit slots, the lowest slot holding the column being
+    eliminated.  Entries stay non-negative and unreduced: the pivot row is
+    reduced and scaled to a leading 1 (P), and a row x whose lowest slot is
+    f mod p becomes (x + (p - f) * P) >> 64, which zeroes that slot mod p
+    and shifts it out.  A slot starts below p and gains less than p^2 per
+    pivot, so no slot carries into the next while the template has at most
+    MAX_TEMPLATE_SIZE columns.
 
     Returns ("unique", x), ("inconsistent", None) or ("deficient", None).
     """
-    import numpy as np
-
-    rows, cols = A.shape
-    b_col = np.asarray(b, dtype=np.int64).reshape(-1, 1)
-    M = np.concatenate([A, b_col], axis=1) % p
-    row = 0
-    pivots = 0
+    cols = len(columns)
+    rows = [_pack(row) for row in zip(*columns, b)]
+    pivots: list[int] = []  # packed reduced pivot rows, from their pivot on
     for col in range(cols):
-        nz = np.flatnonzero(M[row:, col])
-        if nz.size == 0:
+        for i, x in enumerate(rows):
+            if (x & _SLOT_MASK) % p:
+                break
+        else:  # no pivot in this column: drop it from every row
+            rows = [x >> _SLOT_BITS for x in rows]
             continue
-        pr = row + int(nz[0])
-        if pr != row:
-            M[[row, pr]] = M[[pr, row]]
-        inv = pow(int(M[row, col]), p - 2, p)
-        M[row] = M[row] * inv % p
-        below = M[row + 1 :]
-        if below.size:
-            M[row + 1 :] = (below - np.outer(below[:, col], M[row])) % p
-        pivots += 1
-        row += 1
-        if row == rows:
-            break
-    tail = M[row:]
-    if tail.size and bool(
-        ((tail[:, :cols] == 0).all(axis=1) & (tail[:, cols] != 0)).any()
-    ):
+        slots = _unpack(rows.pop(i), cols + 1 - col)
+        inv = pow(slots[0] % p, p - 2, p)
+        P = _pack([v * inv % p for v in slots])
+        pivots.append(P)
+        rows = [
+            (x + (p - f) * P) >> _SLOT_BITS if (f := (x & _SLOT_MASK) % p)
+            else x >> _SLOT_BITS
+            for x in rows
+        ]
+    # every column is gone, so a remaining row is 0 = its right-hand side
+    if any(x % p for x in rows):
         return "inconsistent", None
-    if pivots < cols:
+    if len(pivots) < cols:
         return "deficient", None
-    x = np.zeros(cols, dtype=np.int64)
-    for i in reversed(range(cols)):
-        x[i] = (int(M[i, cols]) - int(M[i, i + 1 : cols] @ x[i + 1 :])) % p
-    return "unique", [int(v) for v in x]
+    x: list[int] = []  # x[col + 1:], built from the last column back
+    for col in reversed(range(cols)):
+        pivot = _unpack(pivots[col], cols + 1 - col)
+        x.insert(0, (pivot[-1] - sum(map(mul, pivot[1:-1], x))) % p)
+    return "unique", x
 
 
 def _crt_combine(a: int, m: int, b: int, p: int) -> int:
@@ -593,6 +627,12 @@ def fit(
     monos = list(monomials)
     if not monos:
         raise ValueError("empty template")
+    if len(monos) > MAX_TEMPLATE_SIZE:
+        raise FitSolverError(
+            f"{len(monos)} monomials exceed MAX_TEMPLATE_SIZE = "
+            f"{MAX_TEMPLATE_SIZE}, the most the 64-bit slots of the modular "
+            f"solve can eliminate without a carry"
+        )
     train_pts = _as_points(train)
     test_pts = _as_points(test)
     shared = set(train_pts) & set(test_pts)

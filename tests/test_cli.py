@@ -266,7 +266,7 @@ class TestPrecisionRange:
 
 
 def test_import_does_not_load_numpy():
-    # numpy is needed only by fits; a fresh interpreter must not pay for it
+    # no code path needs numpy; a fresh interpreter must not load it
     src = str(Path(qsa.__file__).resolve().parents[1])
     code = "import sys, qsa.cli; print('numpy' in sys.modules)"
     done = subprocess.run(

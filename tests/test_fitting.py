@@ -1,19 +1,24 @@
 """Template enumeration, exact fitting, and the escalating guesser."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qsa.errors import GuessError, InsufficientDataError
+from qsa.errors import FitSolverError, GuessError, InsufficientDataError
 from qsa.fitting import (
+    MAX_TEMPLATE_SIZE,
     REFUTED,
     UNDETERMINED,
     VERIFIED,
     HarmonicExpr,
     Monomial,
+    _fresh_prime,
+    _matrix_mod_p,
     _rational_reconstruct,
+    _solve_mod_p,
     fit,
     guess_moment,
     known_central_moment,
@@ -160,6 +165,121 @@ class TestRationalReconstruction:
 
     def test_zero(self):
         assert _rational_reconstruct(0, 10**20) == 0
+
+
+def _solve_exact(A, b):
+    """[A|b] by Fraction Gaussian elimination, with _solve_mod_p's verdicts."""
+    cols = len(A[0])
+    M = [[Fraction(v) for v in (*row, rhs)] for row, rhs in zip(A, b)]
+    pivot_cols = []
+    for col in range(cols):
+        row = len(pivot_cols)
+        pr = next((i for i in range(row, len(M)) if M[i][col]), None)
+        if pr is None:
+            continue
+        M[row], M[pr] = M[pr], M[row]
+        M[row] = [v / M[row][col] for v in M[row]]
+        for i in range(len(M)):
+            if i != row and M[i][col]:
+                f = M[i][col]
+                M[i] = [v - f * w for v, w in zip(M[i], M[row])]
+        pivot_cols.append(col)
+    if any(row[-1] for row in M[len(pivot_cols):]):
+        return "inconsistent", None
+    if len(pivot_cols) < cols:
+        return "deficient", None
+    return "unique", [M[i][-1] for i in range(cols)]
+
+
+def _random_system(rng, verdict):
+    cols = rng.randint(1, 6)
+    rows = cols + rng.randint(0 if verdict == "unique" else 1, 4)
+    A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    if verdict == "deficient":
+        if cols > 1 and rng.random() < 0.5:
+            lost = rng.randrange(1, cols)  # a column the earlier ones span
+            for row in A:
+                row[lost] = sum(row[:lost])
+        else:
+            zero = rng.randrange(cols)
+            for row in A:
+                row[zero] = 0
+    x = [rng.randint(-20, 20) for _ in range(cols)]
+    b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    if verdict == "inconsistent":
+        b[rng.randrange(rows)] += rng.randint(1, 5)
+    return A, b
+
+
+class TestSolveModP:
+    PRIMES = tuple(_fresh_prime(random.Random(seed), set()) for seed in range(3))
+
+    @staticmethod
+    def solve(A, b, p):
+        columns = [[v % p for v in col] for col in zip(*A)]
+        return _solve_mod_p(columns, [v % p for v in b], p)
+
+    @pytest.mark.parametrize("verdict", ["unique", "inconsistent", "deficient"])
+    def test_matches_exact_elimination(self, verdict):
+        rng = random.Random(verdict)
+        seen = set()
+        for _ in range(60):
+            A, b = _random_system(rng, verdict)
+            status, exact = _solve_exact(A, b)
+            seen.add(status)
+            for p in self.PRIMES:
+                got = self.solve(A, b, p)
+                if status == "unique":
+                    assert got == (status, [
+                        q.numerator * pow(q.denominator, -1, p) % p for q in exact
+                    ])
+                else:
+                    assert got == (status, None)
+        assert verdict in seen
+
+    def test_pivot_below_the_first_remaining_row(self):
+        A = [[0, 1], [0, 2], [1, 0], [1, 1]]
+        b = [2, 4, 3, 5]
+        assert self.solve(A, b, 101) == ("unique", [3, 2])
+        assert _solve_exact(A, b) == ("unique", [3, 2])
+
+    def test_all_zero_column(self):
+        A = [[1, 0, 2], [3, 0, 4], [5, 0, 6], [7, 0, 8]]
+        consistent = [5, 11, 17, 23]  # x0 = 1, x2 = 2
+        assert self.solve(A, consistent, 101) == ("deficient", None)
+        broken = [5, 11, 17, 24]
+        assert self.solve(A, broken, 101) == ("inconsistent", None)
+        assert _solve_exact(A, broken) == ("inconsistent", None)
+
+    def test_entries_that_vanish_only_mod_p(self):
+        # 7 and 14 are zero mod 7: the first column has no pivot mod 7
+        A = [[7, 1], [14, 2], [7, 3]]
+        assert self.solve(A, [1, 2, 3], 7) == ("deficient", None)
+        assert self.solve(A, [1, 2, 4], 7) == ("inconsistent", None)
+
+    def test_matrix_columns_hold_monomial_values(self):
+        monos = template(3, 2, 3)
+        points = [1, 2, 5, 9, 17]
+        p = self.PRIMES[0]
+        columns = _matrix_mod_p(monos, points, p)
+        assert len(columns) == len(monos)
+        for mono, column in zip(monos, columns):
+            assert len(column) == len(points)
+            for n, entry in zip(points, column):
+                value = HarmonicExpr({mono: 1}).evaluate(n)
+                assert entry == value.numerator * pow(value.denominator, -1, p) % p
+
+    def test_slots_cannot_carry_at_the_template_limit(self):
+        # every prime is below 2^25, and every slot starts below p and
+        # gains at most (p - 1)^2 per pivot
+        assert all(p < 2**25 for p in self.PRIMES)
+        top = 2**25 - 2
+        assert top + MAX_TEMPLATE_SIZE * top**2 < 2**64
+
+    def test_fit_refuses_a_template_above_the_limit(self):
+        monos = [Monomial(a) for a in range(MAX_TEMPLATE_SIZE + 1)]
+        with pytest.raises(FitSolverError, match="MAX_TEMPLATE_SIZE"):
+            fit({}, monos, (1, 2), (3, 4))
 
 
 class TestFit:

@@ -81,6 +81,24 @@ def test_distribution_commands_load_no_numpy(args):
     assert "qsa.asymptotics" not in loaded
 
 
+def test_fitting_import_loads_no_numpy():
+    assert "numpy" not in loaded_after("import qsa.fitting")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["guess", "--r", "1", "--train", "1..9", "--test", "10..40"],
+        ["limits", "--r", "3"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_fitting_commands_load_no_numpy(args):
+    loaded = loaded_by_command(args)
+    assert "qsa.fitting" in loaded
+    assert "numpy" not in loaded
+
+
 @pytest.mark.parametrize("name", qsa.__all__)
 def test_public_name_is_its_submodule_attribute(name):
     # __module__ is not enough: the constants are plain strings
