@@ -14,8 +14,8 @@ stability-gate trips), 0 otherwise.
 Every command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads click, the exception types and the exact-PGF
 layer, and nothing else of the package; each command imports the layers it
-runs in its body.  ``pgf``, ``moment``, ``moments-table``, ``oracle`` and
-``simulate`` never load mpmath, and no command loads numpy.
+runs in its body.  ``pgf``, ``moment``, ``moments-table``, ``guess``,
+``oracle`` and ``simulate`` never load mpmath, and no command loads numpy.
 """
 
 from __future__ import annotations
@@ -294,21 +294,23 @@ def limits(r_range, precision, out):
     """Limiting scaled moments from freshly fitted closed forms.
 
     One JSON object per line.  Orders 7 and 8 need moment data up to
-    n = 758: order 8 takes 35-40 s on first use on a 2-CPU machine
+    n = 758: ``--r 3..8`` takes 10-14 s on first use on a 2-CPU machine
     without gmpy2.  Orders above ``fitting.MAX_FIT_ORDER`` (8) fail at once.
     """
     lo, hi = r_range
     if lo < 2:
         raise click.UsageError("scaled moments require r >= 2")
-    from .asymptotics import scaled_moment_limit
     from .fitting import check_fit_order, guess_moment
 
     # fail before fitting anything
     check_fit_order(hi)
     base = guess_moment(2)
+    reports = {r: base if r == 2 else guess_moment(r) for r in range(lo, hi + 1)}
+    # mpmath arrives after the exact work, so its memory does not stack on it
+    from .asymptotics import scaled_moment_limit
+
     lines = []
-    for r in range(lo, hi + 1):
-        rep = base if r == 2 else guess_moment(r)
+    for r, rep in reports.items():
         val = scaled_moment_limit(r, rep.expr, base.expr, precision)
         lines.append(
             json.dumps(

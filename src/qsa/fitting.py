@@ -37,13 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
 from .moments import _moment_values, moment_table
 from .numeric import _PREFIX_LIMIT, check_precision, harmonic, harmonic_enclosure
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -289,6 +290,8 @@ class HarmonicExpr:
 
     def evaluate_real(self, n: int, h: Mapping[int, mpf]) -> mpf:
         """Value at n in the current mpmath precision, with H_m(n) taken as ``h[m]``."""
+        from mpmath import mpf  # here, so that exact fits never load mpmath
+
         nn = mpf(n)
         total = mpf(0)
         for mono, coeff in self._terms.items():
@@ -339,6 +342,8 @@ def evaluate_asymptotic(expr: HarmonicExpr, n: int, precision: int = 50) -> mpf:
     check c_n, m_2(n) and m_6(n) to within 10^-precision of the exact
     value, relative, on both sides of n = 4000.
     """
+    from mpmath import mp, mpf  # here, so that exact fits never load mpmath
+
     check_precision(precision)
     if n <= _PREFIX_LIMIT:
         exact = expr.evaluate(n)
@@ -610,6 +615,49 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
 # -----------------------------------------------------------------------
 
 
+def _agrees(expr: HarmonicExpr, data: Mapping[int, Fraction], points: Iterable[int]) -> bool:
+    """Whether ``expr.evaluate(n) == data[n]`` at every point, in integers.
+
+    With L = lcm(1..n), every H_m(n) is an integer A_m over L^m.  A harmonic
+    group of weight w is then its integer polynomial over the lcm den of the
+    group denominators, times prod A_m^e, over den * L^w.  Scaled by
+    den * L^top, top the largest weight, the sum is an integer, compared with
+    the value by cross-multiplication; no Fraction is built.
+    """
+    groups = expr._groups
+    den = lcm(*(d for _, _, d in groups))
+    top = max((sum(m * e for m, e in hp) for hp, _, _ in groups), default=0)
+    scaled = [
+        (hp, [c * (den // d) for c in nums], top - sum(m * e for m, e in hp))
+        for hp, nums, d in groups
+    ]
+    orders = {m for hp, _, _ in groups for m, _ in hp}
+    ell, upto = 1, 1  # ell = lcm(1..upto)
+    for n in sorted(points):
+        while upto < n:
+            upto += 1
+            ell = lcm(ell, upto)
+        powers = [1]  # L^0 .. L^top
+        for _ in range(top):
+            powers.append(powers[-1] * ell)
+        num = {}
+        for m in orders:
+            h = harmonic(m, n)
+            num[m] = h.numerator * (powers[m] // h.denominator)
+        total = 0
+        for hp, nums, gap in scaled:
+            poly = 0
+            for c in nums:  # Horner, from n^top down
+                poly = poly * n + c
+            for m, e in hp:
+                poly *= num[m] ** e
+            total += poly * powers[gap]
+        value = data[n]
+        if total * value.denominator != value.numerator * den * powers[top]:
+            return False
+    return True
+
+
 def fit(
     data: Mapping[int, Fraction],
     monomials: Sequence[Monomial],
@@ -690,8 +738,11 @@ def fit(
         expr = HarmonicExpr(
             {mono: c for mono, c in zip(monos, coeffs) if c}
         )
-        if all(expr.evaluate(n) == data[n] for n in train_pts):
-            residuals = tuple(data[n] - expr.evaluate(n) for n in test_pts)
+        if _agrees(expr, data, train_pts):
+            if _agrees(expr, data, test_pts):
+                residuals = (Fraction(0),) * len(test_pts)
+            else:
+                residuals = tuple(data[n] - expr.evaluate(n) for n in test_pts)
             status = VERIFIED if not any(residuals) else REFUTED
             return FitReport(
                 expr=expr,

@@ -19,13 +19,22 @@ of a truncated product equal those of the full product.  So the one shared
 table keeps only the orders asked of it so far: a moment table of order r
 raises it to order r, which computes just the new coefficients of the rows
 it reads.  Row n's pivot sum at order s is
-``sum_k C(n-1,k-1) sum_j G_{k-1}[j] G_{n-k}[s-j]``.  For s >= 1 its j = 0
-and j = s terms each equal P_n[s] = sum_m (n-1)!/m! G_m[s], as
-C(n-1,k-1) (k-1)! = (n-1)!/(n-k)!; P_n = (n-1) P_{n-1} + G_{n-1} is carried
-along the ascending walk over n, with the Pascal row C(n-1, .).  The terms j
-and s - j are equal, each one dot product over the pivots of C(n-1, .) times
-column j with column s - j reversed (the table is stored by column); at
-s = 0, column 0 with itself, so the n! check reads every stored row.
+``A_n[s] = sum_k C(n-1,k-1) sum_j G_{k-1}[j] G_{n-k}[s-j]``, and
+``G_n[s] = sum_t C(n-1,s-t) A_n[t]``.  For s >= 1 the j = 0 and j = s terms
+each equal P_n[s] = sum_m (n-1)!/m! G_m[s], as C(n-1,k-1) (k-1)! =
+(n-1)!/(n-k)!; P_n = (n-1) P_{n-1} + G_{n-1} is carried along the ascending
+walk over n.  The other terms read only the columns below s, so the table
+is built by column: the term j of row n is (n-1)! [z^(n-1)] of
+e_j(z) e_{s-j}(z), where e_j(z) = sum_m G_m[j]/m! z^m is column j's
+exponential generating function, and equals the term s - j.  With
+each column's coefficients taken over their common denominator D_j, one
+convolution serves every row, and the division by D_j D_{s-j} must be exact.
+The convolution is one Kronecker product of two decimal numbers, each
+holding a column in fixed-width slots: CPython's decimal module (libmpdec)
+multiplies large operands by number-theoretic transform, its int by
+Karatsuba.  Column 0 is n! in every row; its pivot sums come from the stored
+column 0 through the same product and must equal n!, so a corrupted stored
+value fails that check.
 
 Whenever both routes exist the exact-PGF route is authoritative; bulk
 tables built from the series route cross-check their first few entries
@@ -35,14 +44,16 @@ agreement).
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
-from operator import add, mul
+from math import comb, factorial, gcd, lcm
+from operator import add
 
-from ._intops import big, big_gcd
+from ._intops import big_gcd
 from .errors import CrossCheckError
 from .pgf import scaled_pgf
 
@@ -70,15 +81,46 @@ class MomentTable:
     values: dict[int, Fraction]
 
 
+# The context of every decimal product (see the module docstring): a result
+# that would round raises instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """c[k] = sum_{i+j=k} a[i] b[j] for k < len(a), for equally long lists of ints >= 0.
+
+    One Kronecker product: each list is packed into one decimal number with
+    one fixed-width slot per entry, wide enough that no c[k] carries.  The
+    sums past len(a) are those of a truncated series, so none is read.
+    Numbers past the int-to-str digit limit convert through Decimal.
+    """
+    bits = max(a).bit_length() + max(b).bit_length() + len(a).bit_length()
+    width = bits * 30103 // 100000 + 1  # 10^width > 2^bits
+    limit = sys.get_int_max_str_digits() or bits
+    to_str = str if bits <= 3 * limit else lambda x: str(_EXACT.create_decimal(x))
+    to_int = int if width <= limit else lambda t: int(_EXACT.create_decimal(t))
+
+    def pack(xs):
+        return _EXACT.create_decimal("".join([to_str(x).zfill(width) for x in reversed(xs)]))
+
+    packed = pack(a)
+    size = (2 * len(a) - 1) * width
+    digits = str(_EXACT.multiply(packed, packed if b is a else pack(b))).zfill(size)
+    return [to_int(digits[i - width : i]) for i in range(size, size - len(a) * width, -width)]
+
+
 class SeriesCache:
     """Bottom-up table of truncated expansions of g_n around t = 1.
 
     ``row(n)`` hands out G_n[0..order] as an immutable tuple; the table is
     stored once, by column.  ``raise_order`` raises the truncation order,
-    and ``ensure(n)`` brings rows 0..n up to it, appending the coefficients
-    a stored row lacks and building the rows not yet there.  Rows above n
-    keep their order until they are asked for.  Truncation is exact, so each
-    coefficient is computed once, whichever order the table was grown in.
+    and ``ensure(n)`` brings rows 0..n up to it one column at a time: column
+    s of every new row at once, from one product per pair of lower columns
+    (see the module docstring).  Rows above n keep their order until they
+    are asked for.  Truncation is exact, so each coefficient is computed
+    once, whichever order the table was grown in; but each ``ensure`` that
+    adds rows recomputes its products over all rows, so callers ask once
+    for the largest n they will read.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER):
@@ -88,55 +130,88 @@ class SeriesCache:
         # than column s - 1; its pre-binomial pivot sums; P_n[s] of its last n
         self._cols, self._accs, self._p = [], [], []
         self.order = -1
-        self._binom = [big(1)]  # C(n-1, .) of the row built last
+        self._fact = [1]  # m! for every row m built so far
         self._lock = threading.RLock()
         self.raise_order(order)
 
-    def _extend(self, n: int, lo: int, hi: int) -> None:
-        """Compute coefficients lo..hi of row n from the rows below it.
+    def _egf(self, j: int, n: int) -> tuple[list[int], int]:
+        """Column j's values G_m[j] / m! for m < n, as numerators over their lcm D_j."""
+        col, fact = self._cols[j][:n], self._fact
+        d = lcm(*(f // gcd(v, f) for v, f in zip(col, fact)))
+        return [v * d // f for v, f in zip(col, fact)], d
 
-        Row n holds the orders below lo, rows below n hold orders through
-        hi, and the walk of ``ensure`` built row n-1 last.
+    def _pivot_sums(self, egf: dict, j: int, k: int, n: int, lo: int) -> list[int]:
+        """sum_i C(m-1, i) G_i[j] G_{m-1-i}[k] for every row m in lo..n, lo >= 1.
+
+        That is (m-1)! [z^(m-1)] of the product of the two columns' EGFs,
+        read off one convolution of their numerators over D_j and D_k.
         """
-        cols, accs, orders = self._cols, self._accs, range(lo, hi + 1)
-        p = [(n - 1) * self._p[s] + cols[s][n - 1] if n and s else 0 for s in orders]
-        if n <= 1:
-            binom = [big(1)]
-            new = acc = [big(int(s == 0)) for s in orders]
-        else:
-            binom = [big(1), *map(add, self._binom, self._binom[1:]), big(1)]
-            cross = dict.fromkeys(orders, 0)
-            for j in range(min(lo, 1), hi // 2 + 1):  # j = 0 only for order 0
-                # shared by every s; order 0 reads only the first half
-                weighted = list(map(mul, binom, cols[j][: n if j else n // 2 + 1]))
-                for s in orders:
-                    if 0 < j < s - j:  # the terms j and s - j give the same sum
-                        rev = cols[s - j][n - 1 :: -1]
-                        cross[s] += 2 * sum(map(mul, weighted, rev))
-                    elif j == s - j:  # pivots m and n-1-m give the same product
-                        col, h = cols[j], n // 2
-                        rev = col[n - 1 : n - 1 - h : -1]
-                        cross[s] += 2 * sum(map(mul, weighted[:h], rev))
-                        cross[s] += weighted[h] * col[h] if n % 2 else 0
-            acc = [2 * p_s + cross[s] for s, p_s in zip(orders, p)]
-            full = [accs[i][n] for i in range(lo)] + acc
-            bt = binom[: hi + 1] + [big(0)] * (hi + 1 - n)
-            new = [sum(map(mul, full[: s + 1], bt[s::-1])) for s in orders]
-            if lo == 0 and new[0] != factorial(n):  # n! * g_n(1)
-                raise CrossCheckError(f"series row at n={n} does not total n!")
-        for s, value, a, p_s in zip(orders, new, acc, p):
-            cols[s].append(value)
-            accs[s].append(a)
-            self._p[s] = p_s
-        self._binom = binom
+        for c in (j, k):
+            if c not in egf:
+                egf[c] = self._egf(c, n)
+        (a, da), (b, db) = egf[j], egf[k]
+        conv, den = _convolve(a, b), da * db
+        sums = []
+        for m in range(lo, n + 1):
+            q, rem = divmod(self._fact[m - 1] * conv[m - 1], den)
+            if rem:
+                raise CrossCheckError(
+                    f"series columns {j} and {k} give a fractional pivot sum at n={m}"
+                )
+            sums.append(q)
+        return sums
+
+    def _extend(self, s: int, n: int, egf: dict) -> None:
+        """Column s for rows len(column s)..n; the columns below s reach n.
+
+        ``egf`` memoises the columns' EGFs over rows 0..n-1 for one ``ensure``.
+        """
+        col, acc, fact = self._cols[s], self._accs[s], self._fact
+        lo = len(col)
+        if s == 0:  # n! * g_n(1) = n!, checked against every stored row
+            col += fact[lo : n + 1]
+            acc += fact[lo : n + 1]
+            lo = max(lo, 1)
+            if lo <= n:
+                sums = self._pivot_sums(egf, 0, 0, n, lo)
+                for m, total in zip(range(lo, n + 1), sums):
+                    if total != fact[m]:
+                        raise CrossCheckError(f"series row at n={m} does not total n!")
+            return
+        if lo == 0:  # g_0 = 1
+            col.append(0)
+            acc.append(0)
+            lo = 1
+        if lo > n:
+            return
+        cross = [0] * (n + 1 - lo)  # the pivot-sum terms 0 < j < s of each row
+        for j in range(1, s // 2 + 1):
+            weight = 1 if 2 * j == s else 2  # the terms j and s - j give the same sum
+            for i, term in enumerate(self._pivot_sums(egf, j, s - j, n, lo)):
+                cross[i] += weight * term
+        accs, p = self._accs, self._p[s]
+        binom = [comb(lo - 1, i) for i in range(s + 1)]  # C(m-1, .), carried
+        for m, c in zip(range(lo, n + 1), cross):
+            if m > lo:
+                binom = [1, *map(add, binom[1:], binom)]
+            p = (m - 1) * p + col[m - 1]  # P_m[s], the terms j = 0 and j = s
+            acc.append(2 * p + c)
+            col.append(sum(binom[s - t] * accs[t][m] for t in range(s + 1)))
+        self._p[s] = p
 
     def ensure(self, n: int) -> None:
-        """Bring rows 0..n to the current order, in ascending n."""
+        """Bring rows 0..n to the current order, one column after another."""
         with self._lock:
             # rows below the length of the top column hold every order
-            for m in range(len(self._cols[self.order]), n + 1):
-                lo = sum(len(col) > m for col in self._cols)
-                self._extend(m, lo, self.order)
+            if len(self._cols[self.order]) > n:
+                return
+            fact = self._fact
+            for m in range(len(fact), n + 1):
+                fact.append(fact[-1] * m)
+            egf: dict = {}
+            for s in range(self.order + 1):
+                if len(self._cols[s]) <= n:
+                    self._extend(s, n, egf)
 
     def raise_order(self, order: int) -> None:
         """Raise the order to at least ``order``; ``ensure`` fills rows in."""
@@ -171,6 +246,7 @@ def series_cache(order: int = DEFAULT_ORDER) -> SeriesCache:
 def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
     """Truncated expansions of g_n(1+w) for n = 0..n_max."""
     cache = series_cache(order)
+    cache.ensure(n_max)  # one build for every row
     out = []
     for n in range(n_max + 1):
         nf = factorial(n)
@@ -247,6 +323,8 @@ def central_moment(n: int, r: int) -> Fraction:
 def _moment_values(r: int, kind: str, ns: range) -> dict[int, Fraction]:
     """Moments of order r and ``kind`` at every n in ``ns``, from the shared table."""
     cache = series_cache(r)
+    if ns:
+        cache.ensure(max(ns))  # one build for every row
     values: dict[int, Fraction] = {}
     for n in ns:
         row, nf = cache.row(n), factorial(n)

@@ -28,12 +28,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import comb, factorial, prod
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING
 
 from ._intops import big, big_gcd
 from ._ranges import PRECISION_RANGE
 from .errors import EnclosureError
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 # -----------------------------------------------------------------------
 # Exact harmonic numbers
@@ -141,6 +143,8 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
     it, :class:`EnclosureError` is raised instead.  The value carries
     ``digits + 10`` significant digits.
     """
+    from mpmath import mp, mpf  # here, so that exact work never loads mpmath
+
     _check_harmonic_args(m, n)
     if n < 1:
         raise ValueError("asymptotic expansion requires n >= 1")

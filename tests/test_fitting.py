@@ -15,6 +15,7 @@ from qsa.fitting import (
     VERIFIED,
     HarmonicExpr,
     Monomial,
+    _agrees,
     _fresh_prime,
     _matrix_mod_p,
     _rational_reconstruct,
@@ -154,6 +155,39 @@ class TestGroupedEvaluate:
                 value *= _brute_harmonic(m, n) ** e
             expected += value
         assert HarmonicExpr(coeffs).evaluate(n) == expected
+
+
+class TestIntegerVerification:
+    @given(
+        terms=_TERMS,
+        points=st.dictionaries(
+            st.integers(1, 60),
+            st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 7),
+                             Fraction(1, 10**30)]),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(terms=[], points={1: Fraction(0), 5: Fraction(1, 3)})
+    @example(terms=[(0, ((3, 2),), Fraction(2, 9))], points={60: Fraction(1, 10**30)})
+    def test_matches_fraction_evaluation(self, terms, points):
+        # data[n] is the value off by the drawn amount, zero or not
+        coeffs = {}
+        for a, h, c in terms:
+            mono = Monomial(a, h)
+            coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
+        expr = HarmonicExpr(coeffs)
+        data = {n: expr.evaluate(n) + delta for n, delta in points.items()}
+        expected = all(expr.evaluate(n) == data[n] for n in points)
+        assert _agrees(expr, data, list(points)) == expected
+
+    def test_closed_forms_agree_with_exact_moments(self):
+        points = range(1, 61)
+        for r in range(2, 7):
+            data = {n: central_moment(n, r) for n in points}
+            assert _agrees(known_central_moment(r), data, points)
+            data[37] += Fraction(1, 10**40)
+            assert not _agrees(known_central_moment(r), data, points)
 
 
 class TestRationalReconstruction:

@@ -58,6 +58,8 @@ def test_cli_import_loads_no_layer_and_no_heavy_dependency():
         ["pgf", "--n", "10"],
         ["moment", "--n", "10", "--r", "2"],
         ["moments-table", "--nmax", "10", "--rmax", "3"],
+        # mpmath serves only real-valued evaluation, never the exact fit
+        ["guess", "--r", "1", "--train", "1..9", "--test", "10..40"],
         ["simulate", "--n", "10", "--trials", "5"],
         ["oracle", "--n", "5"],
     ],

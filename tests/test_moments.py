@@ -5,15 +5,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 import qsa
+import qsa.moments
 from qsa.errors import CrossCheckError
 from qsa.fitting import known_central_moment, known_mean
 from qsa.moments import (
     SeriesCache,
+    _convolve,
     central_moment,
     factorial_series,
     moment_table,
@@ -23,6 +26,34 @@ from qsa.moments import (
     stirling2,
 )
 from qsa.pgf import pgf
+
+
+def row_by_row(order: int, n_max: int) -> list[tuple[int, ...]]:
+    """G_n[0..order] for n = 0..n_max, one row at a time: the reference build.
+
+    Row n's pivot sum at order s is A_n[s] = sum_k C(n-1, k) sum_j G_k[j] G_{n-1-k}[s-j].
+    Its terms j = 0 and j = s (s >= 1) each equal P_n[s] = sum_m (n-1)!/m! G_m[s],
+    carried as P_n = (n-1) P_{n-1} + G_{n-1}; every other j is a dot product
+    over the pivots.  Then G_n[s] = sum_t C(n-1, s-t) A_n[t].
+    """
+    rows = [(1,) + (0,) * order]
+    p = [0] * (order + 1)
+    for n in range(1, n_max + 1):
+        binom = [comb(n - 1, k) for k in range(n)]
+        p = [(n - 1) * p[s] + rows[n - 1][s] for s in range(order + 1)]
+        pivots = []
+        for s in range(order + 1):
+            total = 2 * p[s] if s else 0
+            for j in range(s + 1) if s == 0 else range(1, s):
+                left = [b * rows[k][j] for k, b in enumerate(binom)]
+                right = [rows[n - 1 - k][s - j] for k in range(n)]
+                total += sum(map(mul, left, right))
+            pivots.append(total)
+        rows.append(tuple(
+            sum(comb(n - 1, s - t) * pivots[t] for t in range(s + 1))
+            for s in range(order + 1)
+        ))
+    return rows
 
 
 class TestRawMoments:
@@ -93,6 +124,63 @@ class TestFactorialSeries:
                 coeff = sum(comb(k, r) * p for k, p in pgf(n).items())
                 assert row[r] == factorial(n) * coeff, (n, r)
 
+    @pytest.mark.parametrize("order, n_max", [(8, 120), (4, 306)])
+    def test_rows_match_row_by_row_reference(self, order, n_max):
+        cache = SeriesCache(order=order)
+        cache.ensure(n_max)
+        reference = row_by_row(order, n_max)
+        for n in range(n_max + 1):
+            assert cache.row(n) == reference[n], n
+
+    def test_rows_past_the_int_str_digit_limit(self):
+        # at the smallest limit, 640 digits, the widest slots here take 742
+        expected = SeriesCache(order=8)
+        expected.ensure(400)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            cache = SeriesCache(order=8)
+            cache.ensure(400)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for n in range(401):
+            assert cache.row(n) == expected.row(n), n
+
+    def test_build_grown_in_steps_equals_direct_build(self):
+        grown = SeriesCache(order=8)
+        for n in (40, 47, 66, 97):
+            grown.ensure(n)
+        direct = SeriesCache(order=8)
+        direct.ensure(97)
+        for n in range(98):
+            assert grown.row(n) == direct.row(n), n
+
+    def test_products_per_build_depend_on_order_only(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(a))
+            return _convolve(a, b)
+
+        monkeypatch.setattr(qsa.moments, "_convolve", counted)
+        counts = []
+        for n in (20, 60, 200):
+            calls.clear()
+            SeriesCache(order=6).ensure(n)
+            counts.append(len(calls))
+        # column 0's check, then one product per pair 1 <= j <= s - j
+        assert counts == [1 + sum(s // 2 for s in range(1, 7))] * 3
+
+    def test_fractional_pivot_sum_raises_cross_check_error(self, monkeypatch):
+        cache = SeriesCache(order=0)
+        cache.ensure(10)
+        cache.raise_order(2)
+        monkeypatch.setattr(
+            qsa.moments, "_convolve", lambda a, b: [c + 1 for c in _convolve(a, b)]
+        )
+        with pytest.raises(CrossCheckError, match="fractional"):
+            cache.ensure(10)
+
     def test_corrupted_row_raises_cross_check_error(self):
         # a new row reads every stored order-0 value, not its running sums
         cache = SeriesCache(order=4)
@@ -152,6 +240,30 @@ class TestFactorialSeries:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.strip() == "3"
+
+
+class TestConvolve:
+    @staticmethod
+    def naive(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([3, 1, 4, 1, 5], [9, 2, 6, 5, 3]),
+            ([0, 0, 0], [0, 0, 0]),
+            ([0, 0, 0, 0], [7, 0, 2, 1]),
+            ([5], [8]),
+            ([0, 10**5000, 1, 10**4400 + 3], [2, 10**4301 - 1, 0, 10**5000]),
+        ],
+    )
+    def test_matches_naive_convolution(self, a, b):
+        assert _convolve(a, b) == self.naive(a, b)
+
+    def test_square_and_slots_past_the_str_digit_limit(self):
+        # the slots are wider than the int-to-str limit of 4300 digits
+        a = [10**4500 - 1, 0, 12345, 10**4400 + 7, 1]
+        assert _convolve(a, a) == self.naive(a, a)
 
 
 class TestStirlingTransform:
