@@ -5,11 +5,11 @@ JSON, selected with --format where both are defined), deterministic for a
 fixed flag set and seed.  ``--out FILE`` redirects output to a file: an
 existing writable one, or a new one in an existing, writable directory.
 
-Config precedence is flags > environment (QSA_NMAX, QSA_NMAX_GUESS,
-QSA_PRECISION, QSA_SURROGATE) > built-in defaults.  Every ``--precision``
-accepts 30..100 significant digits (``numeric.PRECISION_RANGE``).  Exit
-codes: 2 for usage errors, 1 for computation failures (guess exhaustion,
-stability-gate trips), 0 otherwise.
+Config precedence is flags > environment (QSA_NMAX, QSA_PRECISION,
+QSA_SURROGATE) > built-in defaults.  Every ``--precision`` accepts 30..100
+significant digits (``numeric.PRECISION_RANGE``).  Exit codes: 2 for usage
+errors, 1 for computation failures (guess exhaustion, stability-gate trips),
+0 otherwise.
 
 Every command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads click, the exception types and the exact-PGF
@@ -256,23 +256,19 @@ def moments_table(nmax, rmax, kind, source, fmt, out):
 
 @cli.command()
 @click.option("--r", type=click.IntRange(min=1), required=True)
-@click.option("--nmax", type=click.IntRange(min=2), default=None,
-              envvar="QSA_NMAX_GUESS",
-              help="Cap on generated moment data for the automatic windows "
-              "(default: as much as needed).")
 @click.option("--train", type=RANGE, default=None,
               help="Explicit training range A..B (default: automatic).")
 @click.option("--test", type=RANGE, default=None,
               help="Explicit testing range C..D (default: automatic).")
 @_out_option
 @_domain_errors
-def guess(r, nmax, train, test, out):
+def guess(r, train, test, out):
     """Rediscover the closed form of a moment by undetermined coefficients."""
     if (train is None) != (test is None):
         raise click.UsageError("--train and --test must be given together")
     from .fitting import guess_moment
 
-    report = guess_moment(r, n_max_data=nmax, train=train, test=test)
+    report = guess_moment(r, train=train, test=test)
     payload = {
         "r": r,
         "status": report.status,
@@ -293,9 +289,9 @@ def guess(r, nmax, train, test, out):
 def limits(r_range, precision, out):
     """Limiting scaled moments from freshly fitted closed forms.
 
-    One JSON object per line.  Orders 7 and 8 need moment data up to
-    n = 758: ``--r 3..8`` takes 10-14 s on first use on a 2-CPU machine
-    without gmpy2.  Orders above ``fitting.MAX_FIT_ORDER`` (8) fail at once.
+    One JSON object per line.  Order 8 needs moment data up to n = 758:
+    ``--r 3..8`` takes 9-14 s on first use on a 2-CPU machine without
+    gmpy2.  Orders above ``fitting.MAX_FIT_ORDER`` (8) fail at once.
     """
     lo, hi = r_range
     if lo < 2:

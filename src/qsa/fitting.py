@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 import sys
-import threading
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +39,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
-from .moments import _moment_values, moment_table
+from .moments import moment_table
 from .numeric import _PREFIX_LIMIT, check_precision, harmonic, harmonic_enclosure
 
 if TYPE_CHECKING:
@@ -762,27 +761,6 @@ def fit(
 # Escalating guesser
 # -----------------------------------------------------------------------
 
-# Not functools.cache: the longest table built so far answers every shorter
-# request, so one growing entry per order is kept.
-_data_cache: dict[tuple[int, str], tuple[int, Mapping[int, Fraction]]] = {}
-_data_lock = threading.Lock()
-
-
-def _moment_data(r: int, n_max: int) -> Mapping[int, Fraction]:
-    kind = "raw" if r == 1 else "central"
-    key = (r, kind)
-    with _data_lock:
-        hit = _data_cache.get(key)
-        if hit is not None and hit[0] >= n_max:
-            return hit[1]
-    if hit is None:  # the first build cross-checks against the exact route
-        values = moment_table(n_max, r, kind=kind).values
-    else:  # a longer window computes only its new points
-        values = {**hit[1], **_moment_values(r, kind, range(hit[0] + 1, n_max + 1))}
-    with _data_lock:
-        _data_cache[key] = (n_max, values)
-    return values
-
 
 def check_fit_order(r: int) -> None:
     """Reject a moment order above :data:`MAX_FIT_ORDER`, naming its cost."""
@@ -796,7 +774,6 @@ def check_fit_order(r: int) -> None:
 
 def guess_moment(
     r: int,
-    n_max_data: int | None = None,
     *,
     data: Mapping[int, Fraction] | None = None,
     train: RangeLike | None = None,
@@ -805,14 +782,13 @@ def guess_moment(
     """Escalate template bounds d = 1..r until a fit verifies.
 
     Order 1 targets the mean comparison count c_n; orders r >= 2 target the
-    central moments about the mean.  Moment data is generated on demand via
-    the truncated-series route (and cached); ``n_max_data`` caps how far it
-    may be generated, raising :class:`InsufficientDataError` when the cap
-    makes a template unfittable.  By default each template gets its own
+    central moments about the mean.  By default each template gets its own
     windows: :data:`SLACK` more training points than monomials, then at least
     :data:`TEST_POINTS` test points and at least through :data:`TEST_FLOOR`.
     ``train`` and ``test`` (given together) fix both windows for every
-    template instead, and ``n_max_data`` is then unused.  Orders above
+    template instead.  Every window is known before the first fit, so
+    without ``data`` one :func:`~qsa.moments.moment_table` call builds the
+    data through the end of the last template's windows.  Orders above
     :data:`MAX_FIT_ORDER` are rejected before any data is built.
     """
     if r < 1:
@@ -820,33 +796,27 @@ def guess_moment(
     check_fit_order(r)
     if (train is None) != (test is None):
         raise ValueError("train and test windows must be given together")
-    last_size = 0
+    ladder = []
     for d in range(1, r + 1):
         monos = template(r, d, d)
-        last_size = len(monos)
-        if train is not None:
-            windows = (train, test)
-            top = max(_as_points(train) + _as_points(test))
-        else:
+        if train is None:
             train_end = len(monos) + SLACK
-            top = max(TEST_FLOOR, train_end + TEST_POINTS)
-            if n_max_data is not None:
-                if n_max_data < train_end + 1:
-                    raise InsufficientDataError(
-                        f"template d={d} needs data through n={train_end + 1}, "
-                        f"but n_max_data={n_max_data}"
-                    )
-                top = min(top, n_max_data)
-            windows = ((1, train_end), (train_end + 1, top))
-        table = data if data is not None else _moment_data(r, top)
-        report = fit(table, monos, *windows)
+            test_end = max(TEST_FLOOR, train_end + TEST_POINTS)
+            ladder.append((d, monos, ((1, train_end), (train_end + 1, test_end))))
+        else:
+            ladder.append((d, monos, (train, test)))
+    if data is None:
+        top = max(max(_as_points(window)) for window in ladder[-1][2])
+        data = moment_table(top, r, kind="raw" if r == 1 else "central").values
+    for d, monos, windows in ladder:
+        report = fit(data, monos, *windows)
         report.degree = d
         if report.status == VERIFIED:
             return report
     raise GuessError(
         f"no verified closed form for moment order {r}; largest template "
         f"tried had n-degree <= {r}, harmonic weight <= {r} "
-        f"({last_size} monomials)"
+        f"({len(ladder[-1][1])} monomials)"
     )
 
 

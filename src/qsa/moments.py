@@ -320,30 +320,6 @@ def central_moment(n: int, r: int) -> Fraction:
 # -----------------------------------------------------------------------
 
 
-def _moment_values(r: int, kind: str, ns: range) -> dict[int, Fraction]:
-    """Moments of order r and ``kind`` at every n in ``ns``, from the shared table."""
-    cache = series_cache(r)
-    if ns:
-        cache.ensure(max(ns))  # one build for every row
-    values: dict[int, Fraction] = {}
-    for n in ns:
-        row, nf = cache.row(n), factorial(n)
-        if kind == "raw":
-            num, den = int(_stirling_transform(row, r)), nf
-        else:
-            raws = [int(_stirling_transform(row, j)) for j in range(r + 1)]
-            # with the mean reduced to a/b, the sum is over nf * b^r, not nf^(r+1)
-            g = big_gcd(raws[1], nf)
-            a, b = raws[1] // g, nf // g
-            num = sum(
-                comb(r, j) * (-a) ** (r - j) * raws[j] * b**j for j in range(r + 1)
-            )
-            den = nf * b**r
-        g = big_gcd(num, den)
-        values[n] = Fraction(num // g, den // g)
-    return values
-
-
 def moment_table(n_max: int, r: int, kind: str = "central") -> MomentTable:
     """Moments of order r for every n = 0..n_max, via the series route.
 
@@ -359,13 +335,29 @@ def moment_table(n_max: int, r: int, kind: str = "central") -> MomentTable:
         raise ValueError(f"unknown moment kind {kind!r}")
     if r < 0 or (kind == "central" and r < 1):
         raise ValueError("invalid moment order")
-    values = _moment_values(r, kind, range(n_max + 1))
-    table = MomentTable(order=r, kind=kind, values=values)
+    cache = series_cache(r)
+    cache.ensure(n_max)  # one build for every row
+    values: dict[int, Fraction] = {}
+    for n in range(n_max + 1):
+        row, nf = cache.row(n), factorial(n)
+        if kind == "raw":
+            num, den = int(_stirling_transform(row, r)), nf
+        else:
+            raws = [int(_stirling_transform(row, j)) for j in range(r + 1)]
+            # with the mean reduced to a/b, the sum is over nf * b^r, not nf^(r+1)
+            g = big_gcd(raws[1], nf)
+            a, b = raws[1] // g, nf // g
+            num = sum(
+                comb(r, j) * (-a) ** (r - j) * raws[j] * b**j for j in range(r + 1)
+            )
+            den = nf * b**r
+        g = big_gcd(num, den)
+        values[n] = Fraction(num // g, den // g)
     limit = min(CROSS_CHECK_UPTO, n_max)
     exact = raw_moment if kind == "raw" else central_moment
     for n in range(1 if kind == "central" else 0, limit + 1):
-        if table.values[n] != exact(n, r):
+        if values[n] != exact(n, r):
             raise CrossCheckError(
                 f"series and exact-PGF moments disagree at n={n}, r={r}"
             )
-    return table
+    return MomentTable(order=r, kind=kind, values=values)

@@ -63,14 +63,6 @@ class DistPoly:
         for i, p in enumerate(self.probs):
             yield self.min_k + i, p
 
-    def eval(self, t) -> Fraction:
-        """Exact polynomial evaluation g_n(t) at a rational point."""
-        t = Fraction(t)
-        acc = Fraction(0)
-        for p in reversed(self.probs):
-            acc = acc * t + p
-        return acc * t**self.min_k
-
 
 class PgfCache:
     """Bottom-up memo table of exact PGFs.

@@ -404,10 +404,6 @@ class TestGuessMoment:
         for n in range(1, 40):
             assert report.expr.evaluate(n) == central_moment(n, 2)
 
-    def test_data_cap_enforced(self):
-        with pytest.raises(InsufficientDataError):
-            guess_moment(2, n_max_data=10)
-
     def test_escalation_exhaustion_names_template(self):
         # powers of two admit no harmonic-polynomial closed form
         data = {n: Fraction(2) ** n for n in range(1, 400)}

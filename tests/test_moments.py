@@ -241,6 +241,29 @@ class TestFactorialSeries:
         )
         assert done.stdout.strip() == "3"
 
+    def test_guess_moment_grows_shared_table_once(self):
+        # every window of the ladder is known before the first fit, so the
+        # data for d = 1..6 (windows ending at 306, then 365) is one build
+        src = str(Path(qsa.__file__).resolve().parents[1])
+        code = (
+            "from qsa.fitting import guess_moment\n"
+            "from qsa.moments import SeriesCache\n"
+            "ensure, grown = SeriesCache.ensure, []\n"
+            "def recorded(self, n):\n"
+            "    if len(self._cols[self.order]) <= n:\n"
+            "        grown.append(n)\n"
+            "    ensure(self, n)\n"
+            "SeriesCache.ensure = recorded\n"
+            "guess_moment(6)\n"
+            "print(grown)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "[365]"
+
 
 class TestConvolve:
     @staticmethod
