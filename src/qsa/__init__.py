@@ -69,57 +69,10 @@ def __dir__():
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "AsymptoticValue",
-    "CrossCheckError",
-    "DensityBin",
-    "DistPoly",
-    "EmpiricalStats",
-    "EnclosureError",
-    "FitReport",
-    "FitSolverError",
-    "GuessError",
-    "HarmonicExpr",
-    "InsufficientDataError",
-    "MomentTable",
-    "Monomial",
-    "PgfCache",
-    "QsaError",
-    "REFUTED",
-    "ScaledDistribution",
-    "SimConfig",
-    "StabilityError",
-    "TailEstimate",
-    "TruncatedSeries",
-    "UNDETERMINED",
-    "VERIFIED",
-    "bernoulli",
-    "central_moment",
-    "coefficient_of_variation",
-    "convolve",
-    "evaluate_asymptotic",
-    "exhaustive_distribution",
-    "export_density",
-    "factorial_series",
-    "fit",
-    "guess_moment",
-    "harmonic",
-    "harmonic_enclosure",
-    "known_central_moment",
-    "known_mean",
-    "leading_coefficient",
-    "mean_asymptotic_check",
-    "mean_over_nlogn",
-    "moment_table",
-    "moments_from_factorial",
-    "monte_carlo",
-    "pgf",
-    "quicksort_count",
-    "raw_moment",
-    "scale",
-    "scaled_moment_limit",
-    "scaled_pgf",
-    "selection_sort_count",
-    "tail_probability",
-    "template",
-]
+# every lazy name and every name imported above
+__all__ = sorted([
+    *_LAZY,
+    *"CrossCheckError EnclosureError FitSolverError GuessError "
+    "InsufficientDataError QsaError StabilityError".split(),
+    *"DistPoly PgfCache convolve pgf scaled_pgf".split(),
+])

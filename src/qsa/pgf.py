@@ -81,13 +81,8 @@ class PgfCache:
         self._slot_bytes = 0
 
     def _pack(self, coeffs: tuple[int, ...]) -> int:
-        sb = self._slot_bytes
-        buf = bytearray(len(coeffs) * sb)
-        for i, c in enumerate(coeffs):
-            nbytes = (c.bit_length() + 7) // 8
-            pos = i * sb
-            buf[pos : pos + nbytes] = c.to_bytes(nbytes, "little")
-        return int.from_bytes(buf, "little")
+        slots = (c.to_bytes(self._slot_bytes, "little") for c in coeffs)
+        return int.from_bytes(b"".join(slots), "little")
 
     def _unpack(self, value: int, count: int) -> list[int]:
         sb = self._slot_bytes

@@ -180,6 +180,32 @@ class TestLimitsCommand:
         assert "moment order 9 exceeds MAX_FIT_ORDER = 8" in result.output
         assert "970-monomial template" in result.output
 
+    def test_shared_table_grows_once(self):
+        # the top order is fitted first, so the data of orders 2..6 (windows
+        # ending at 306, then 365 for order 6) is one build of the table
+        src = str(Path(qsa.__file__).resolve().parents[1])
+        code = (
+            "from qsa.cli import cli\n"
+            "from qsa.moments import SeriesCache\n"
+            "ensure, grown = SeriesCache.ensure, []\n"
+            "def recorded(self, n):\n"
+            "    if len(self._cols[self.order]) <= n:\n"
+            "        grown.append((self.order, n))\n"
+            "    ensure(self, n)\n"
+            "SeriesCache.ensure = recorded\n"
+            "try:\n"
+            "    cli.main(['limits', '--r', '3..6', '--precision', '30'])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(grown)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip().splitlines()[-1] == "[(6, 365)]"
+
 
 class TestDistributionCommands:
     def test_density_rows(self, runner):
@@ -289,6 +315,16 @@ class TestUsageErrors:
             cli, ["guess", "--r", "1", "--train", "9..1", "--test", "10..20"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "train, test", [("0..9", "10..40"), ("-3..9", "10..40"), ("1..9", "0..40")]
+    )
+    def test_window_below_one_is_usage_error(self, runner, train, test):
+        result = runner.invoke(
+            cli, ["guess", "--r", "1", "--train", train, "--test", test]
+        )
+        assert result.exit_code == 2
+        assert "must start at 1 or above" in result.output
 
     def test_oracle_guard_is_usage_error(self, runner):
         assert runner.invoke(cli, ["oracle", "--n", "13"]).exit_code == 2

@@ -427,6 +427,14 @@ class TestGuessMoment:
         with pytest.raises(GuessError):
             guess_moment(1, data=data, train=(1, 20), test=(21, 99))
 
+    def test_any_pair_is_an_interval(self):
+        # [1, 20] is n = 1..20 like (1, 20), not the two points {1, 20}
+        data = mean_data(60)
+        report = guess_moment(1, data=data, train=[1, 20], test=[21, 60])
+        assert report.status == VERIFIED
+        assert (report.train_range, report.test_range) == ((1, 20), (21, 60))
+        assert report.expr == known_mean()
+
     def test_fixed_windows_come_together(self):
         with pytest.raises(ValueError):
             guess_moment(1, train=(1, 9))

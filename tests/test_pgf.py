@@ -120,6 +120,13 @@ class TestInvariants:
         for n in range(61):
             assert grown.scaled(n) == direct.scaled(n), n
 
+    def test_coefficient_wider_than_its_slot_raises(self):
+        cache = PgfCache()
+        # a slot of one byte cannot hold 256, which would spill into the next
+        cache._slot_bytes = 1
+        with pytest.raises(OverflowError):
+            cache._pack((1, 256, 1))
+
     def test_cached_coefficients_are_immutable(self):
         with pytest.raises(AttributeError):
             scaled_pgf(4)[1].append(0)
