@@ -81,27 +81,6 @@ class _PositiveFractionParam(click.ParamType):
         return number
 
 
-def _domain_errors(fn):
-    # computation failures, and a failed write of --out, exit 1; click
-    # handles usage errors with exit 2
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (QsaError, ValueError, OSError) as exc:
-            raise click.ClickException(str(exc)) from exc
-
-    return wrapper
-
-
-def _write(text: str, out) -> None:
-    if out is None:
-        click.echo(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 def _check_out_dir(ctx, param, value):
     # click.Path checks an existing file; a file still to be made needs a
     # directory it can be made in (writing an existing file does not)
@@ -114,11 +93,34 @@ def _check_out_dir(ctx, param, value):
     return value
 
 
-def _out_option(fn):
-    return click.option(
-        "--out", type=click.Path(dir_okay=False, writable=True), default=None,
-        callback=_check_out_dir, help="Write output to a file instead of stdout.",
-    )(fn)
+def _command(name=None):
+    """Register a command that returns its output, with ``--out`` as its last option.
+
+    The text goes to ``--out`` or stdout.  Computation failures, and a failed
+    write of ``--out``, exit 1; click handles usage errors with exit 2.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args, out, **kwargs):
+            try:
+                text = fn(*args, **kwargs)
+                if out is None:
+                    click.echo(text)
+                else:
+                    with open(out, "w", encoding="utf-8") as fh:
+                        fh.write(text + "\n")
+            except (QsaError, ValueError, OSError) as exc:
+                raise click.ClickException(str(exc)) from exc
+
+        command = cli.command(name=name)(run)
+        command.params.append(click.Option(
+            ["--out"], type=click.Path(dir_okay=False, writable=True), default=None,
+            callback=_check_out_dir, help="Write output to a file instead of stdout.",
+        ))
+        return command
+
+    return register
 
 
 def _json_dumps(obj) -> str:
@@ -153,32 +155,28 @@ def _csv(rows) -> str:
     return "\n".join(",".join(map(str, row)) for row in rows)
 
 
-def _write_dist(n: int, items, fmt: str, out) -> None:
+def _dist_text(n: int, items, fmt: str) -> str:
     # rows k,num,den over the support points of positive mass
     rows = [[k, str(p.numerator), str(p.denominator)] for k, p in items if p]
-    _write(_csv(rows) if fmt == "csv" else _json_dumps({"n": n, "coeffs": rows}), out)
+    return _csv(rows) if fmt == "csv" else _json_dumps({"n": n, "coeffs": rows})
 
 
-@cli.command(name="pgf")
+@_command(name="pgf")
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--format", "fmt", type=_FORMAT, default="csv", show_default=True)
-@_out_option
-@_domain_errors
-def pgf_cmd(n, fmt, out):
+def pgf_cmd(n, fmt):
     """Exact distribution of the comparison count (rows k,num,den)."""
-    _write_dist(n, exact_pgf(n).items(), fmt, out)
+    return _dist_text(n, exact_pgf(n).items(), fmt)
 
 
-@cli.command()
+@_command()
 @click.option("--n", type=click.IntRange(min=0, max=EXHAUSTIVE_LIMIT), required=True)
 @click.option("--format", "fmt", type=_FORMAT, default="csv", show_default=True)
-@_out_option
-@_domain_errors
-def oracle(n, fmt, out):
+def oracle(n, fmt):
     """Exact distribution by exhaustive pivot enumeration (rows k,num,den)."""
     from .simulate import exhaustive_distribution
 
-    _write_dist(n, exhaustive_distribution(n).items(), fmt, out)
+    return _dist_text(n, exhaustive_distribution(n).items(), fmt)
 
 
 # -----------------------------------------------------------------------
@@ -186,15 +184,13 @@ def oracle(n, fmt, out):
 # -----------------------------------------------------------------------
 
 
-@cli.command()
+@_command()
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--r", type=click.IntRange(min=0), required=True)
 @click.option("--kind", type=click.Choice(["raw", "central"]), default="central",
               show_default=True)
 @click.option("--format", "fmt", type=_FORMAT, default="json", show_default=True)
-@_out_option
-@_domain_errors
-def moment(n, r, kind, fmt, out):
+def moment(n, r, kind, fmt):
     """One exact moment of the comparison count (exact-PGF route)."""
     if kind == "central" and r < 1:
         raise click.UsageError("central moments require r >= 1")
@@ -202,19 +198,18 @@ def moment(n, r, kind, fmt, out):
 
     value = raw_moment(n, r) if kind == "raw" else central_moment(n, r)
     if fmt == "csv":
-        _write(f"{n},{r},{value.numerator},{value.denominator}", out)
-    else:
-        payload = {
-            "n": n,
-            "r": r,
-            "kind": kind,
-            "num": str(value.numerator),
-            "den": str(value.denominator),
-        }
-        _write(_json_dumps(payload), out)
+        return f"{n},{r},{value.numerator},{value.denominator}"
+    payload = {
+        "n": n,
+        "r": r,
+        "kind": kind,
+        "num": str(value.numerator),
+        "den": str(value.denominator),
+    }
+    return _json_dumps(payload)
 
 
-@cli.command(name="moments-table")
+@_command(name="moments-table")
 @click.option("--nmax", type=click.IntRange(min=1), default=130, show_default=True,
               envvar="QSA_NMAX")
 @click.option("--rmax", type=click.IntRange(min=1), default=6, show_default=True)
@@ -224,9 +219,7 @@ def moment(n, r, kind, fmt, out):
               show_default=True,
               help="Truncated-series route (fast) or exact-PGF route (authoritative).")
 @click.option("--format", "fmt", type=_FORMAT, default="csv", show_default=True)
-@_out_option
-@_domain_errors
-def moments_table(nmax, rmax, kind, source, fmt, out):
+def moments_table(nmax, rmax, kind, source, fmt):
     """Moment table, one row n,r,num,den per (n, r).
 
     The series route truncates the expansions at order rmax.
@@ -248,10 +241,8 @@ def moments_table(nmax, rmax, kind, source, fmt, out):
                 rows.append((n, r, exact(n, r)))
     table = [[n, r, str(v.numerator), str(v.denominator)] for n, r, v in rows]
     if fmt == "csv":
-        _write(_csv(table), out)
-    else:
-        payload = {"kind": kind, "nmax": nmax, "rmax": rmax, "moments": table}
-        _write(_json_dumps(payload), out)
+        return _csv(table)
+    return _json_dumps({"kind": kind, "nmax": nmax, "rmax": rmax, "moments": table})
 
 
 # -----------------------------------------------------------------------
@@ -259,15 +250,13 @@ def moments_table(nmax, rmax, kind, source, fmt, out):
 # -----------------------------------------------------------------------
 
 
-@cli.command()
+@_command()
 @click.option("--r", type=click.IntRange(min=1), required=True)
 @click.option("--train", type=RANGE, default=None,
               help="Explicit training range A..B (default: automatic).")
 @click.option("--test", type=RANGE, default=None,
               help="Explicit testing range C..D (default: automatic).")
-@_out_option
-@_domain_errors
-def guess(r, train, test, out):
+def guess(r, train, test):
     """Rediscover the closed form of a moment by undetermined coefficients."""
     if (train is None) != (test is None):
         raise click.UsageError("--train and --test must be given together")
@@ -282,16 +271,14 @@ def guess(r, train, test, out):
         "test": f"{report.test_range[0]}..{report.test_range[1]}",
         "expr": report.expr.to_json() if report.expr is not None else None,
     }
-    _write(_json_dumps(payload), out)
+    return _json_dumps(payload)
 
 
-@cli.command()
+@_command()
 @click.option("--r", "r_range", type=RANGE, required=True,
               help="Scaled moment order(s), e.g. 3 or 3..8.")
 @_precision_option
-@_out_option
-@_domain_errors
-def limits(r_range, precision, out):
+def limits(r_range, precision):
     """Limiting scaled moments from freshly fitted closed forms.
 
     One JSON object per line.  Order 8 needs moment data up to n = 758:
@@ -324,7 +311,7 @@ def limits(r_range, precision, out):
                 }
             )
         )
-    _write("\n".join(lines), out)
+    return "\n".join(lines)
 
 
 # -----------------------------------------------------------------------
@@ -332,14 +319,12 @@ def limits(r_range, precision, out):
 # -----------------------------------------------------------------------
 
 
-@cli.command()
+@_command()
 @click.option("--n", type=click.IntRange(min=3), default=130, show_default=True)
 @click.option("--bin", "bin_width", type=_PositiveFractionParam(), default="0.1",
               show_default=True)
 @_precision_option
-@_out_option
-@_domain_errors
-def density(n, bin_width, precision, out):
+def density(n, bin_width, precision):
     """Histogram of the scaled distribution Z_n (rows z_left,z_right,mass)."""
     # distribution before mpmath: see the note on its imports
     from .distribution import export_density
@@ -355,18 +340,16 @@ def density(n, bin_width, precision, out):
             )
             for b in bins
         ]
-    _write("\n".join(rows), out)
+    return "\n".join(rows)
 
 
-@cli.command()
+@_command()
 @click.option("--n", type=click.IntRange(min=3), required=True)
 @click.option("--x", type=int, required=True, help="Comparison-count threshold.")
 @click.option("--surrogate", type=click.IntRange(min=3), default=130,
               show_default=True, envvar="QSA_SURROGATE")
 @_precision_option
-@_out_option
-@_domain_errors
-def tail(n, x, surrogate, precision, out):
+def tail(n, x, surrogate, precision):
     """Pr(comparisons > x) for length n, via the scaled surrogate."""
     from .distribution import tail_probability
 
@@ -379,7 +362,7 @@ def tail(n, x, surrogate, precision, out):
         "probability": high_real_str(est.probability, precision),
         "saturated": est.saturated,
     }
-    _write(_json_dumps(payload), out)
+    return _json_dumps(payload)
 
 
 # -----------------------------------------------------------------------
@@ -387,14 +370,12 @@ def tail(n, x, surrogate, precision, out):
 # -----------------------------------------------------------------------
 
 
-@cli.command(name="simulate")
+@_command(name="simulate")
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=10000,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_out_option
-@_domain_errors
-def simulate_cmd(n, trials, seed, out):
+def simulate_cmd(n, trials, seed):
     """Monte Carlo comparison counts over random permutations."""
     from .simulate import SimConfig, monte_carlo
 
@@ -409,16 +390,14 @@ def simulate_cmd(n, trials, seed, out):
         "min": stats.min_count,
         "max": stats.max_count,
     }
-    _write(_json_dumps(payload), out)
+    return _json_dumps(payload)
 
 
-@cli.command(name="selection-count")
+@_command(name="selection-count")
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_out_option
-@_domain_errors
-def selection_count(n, trials, seed, out):
+def selection_count(n, trials, seed):
     """Selection-sort comparison counts (always n(n-1)/2) on random inputs."""
     import random as _random
 
@@ -440,7 +419,7 @@ def selection_count(n, trials, seed, out):
         "formula": formula,
         "all_match": all(c == formula for c in counts),
     }
-    _write(_json_dumps(payload), out)
+    return _json_dumps(payload)
 
 
 def main():

@@ -34,8 +34,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import isqrt, lcm
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import FitSolverError, GuessError, InsufficientDataError
@@ -127,7 +128,7 @@ class HarmonicExpr:
         expr = 7*N**2 + 13*N - 4*(N + 1)**2 * H2 - ...
     """
 
-    __slots__ = ("_terms", "_groups")
+    __slots__ = ("_terms", "_den", "_top", "_groups", "_orders")
 
     def __init__(self, terms: Mapping[Monomial, Fraction]):
         clean = {m: Fraction(c) for m, c in terms.items() if c}
@@ -135,11 +136,18 @@ class HarmonicExpr:
         parts: dict[tuple[tuple[int, int], ...], dict[int, Fraction]] = {}
         for mono, coeff in clean.items():
             parts.setdefault(mono.h_powers, {})[mono.n_power] = coeff
-        self._groups = []
-        for h_powers, poly in parts.items():
-            den = lcm(*(c.denominator for c in poly.values()))
-            nums = [int(poly.get(a, 0) * den) for a in range(max(poly), -1, -1)]
-            self._groups.append((h_powers, nums, den))
+        # every coefficient over one denominator D; w the top harmonic weight
+        self._den = den = lcm(*(c.denominator for c in clean.values()))
+        self._top = top = max((m.weight for m in clean), default=0)
+        self._groups = [  # (harmonic part, w - its weight, numerators over D, top power first)
+            (
+                h_powers,
+                top - sum(m * e for m, e in h_powers),
+                [int(poly.get(a, 0) * den) for a in range(max(poly), -1, -1)],
+            )
+            for h_powers, poly in parts.items()
+        ]
+        self._orders = {m for h_powers in parts for m, _ in h_powers}
 
     # -- constructors ---------------------------------------------------
 
@@ -268,23 +276,32 @@ class HarmonicExpr:
     # -- evaluation / serialization ---------------------------------------
 
     def evaluate(self, n: int) -> Fraction:
-        """Exact value at integer n >= 1 using exact harmonic numbers.
-
-        Terms are grouped by harmonic part when the expression is built: a
-        group's polynomial in n is evaluated in integers over the lcm of its
-        denominators, then multiplied once by its harmonic numbers.
-        """
+        """Exact value at integer n >= 1: the integer of ``_scaled`` over D * L^w."""
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("harmonic expressions are evaluated at integer n >= 1")
-        total = Fraction(0)
-        for h_powers, nums, den in self._groups:
+        ell = lcm(*range(n // 2 + 1, n + 1))  # = lcm(1..n): k <= n/2 divides one of them
+        powers = list(accumulate(repeat(ell, self._top), mul, initial=1))
+        return Fraction(self._scaled(n, powers), self._den * powers[-1])
+
+    def _scaled(self, n: int, powers: Sequence[int]) -> int:
+        """The integer D * L^w * expr(n), given ``powers`` = L^0..L^w, L = lcm(1..n).
+
+        Every H_m(n) is an integer A_m over L^m.  A harmonic group of weight
+        v is then its integer polynomial in n times prod A_m^e, over D * L^v;
+        times L^(w - v), each group is an integer over D * L^w.
+        """
+        num = {}  # A_m
+        for m in self._orders:
+            h = harmonic(m, n)
+            num[m] = h.numerator * (powers[m] // h.denominator)
+        total = 0
+        for h_powers, gap, nums in self._groups:
             poly = 0
             for c in nums:  # Horner, from n^top down
                 poly = poly * n + c
-            val = Fraction(poly, den)
             for m, e in h_powers:
-                val *= harmonic(m, n) ** e
-            total += val
+                poly *= num[m] ** e
+            total += poly * powers[gap]
         return total
 
     def evaluate_real(self, n: int, h: Mapping[int, mpf]) -> mpf:
@@ -414,8 +431,11 @@ class FitReport:
 
 
 def _window(window: tuple[int, int]) -> tuple[int, int]:
-    """The inclusive interval lo..hi of n, checked to hold 1 <= lo <= hi."""
-    lo, hi = map(int, window)
+    """The inclusive interval lo..hi of n, checked to hold integers 1 <= lo <= hi."""
+    try:
+        lo, hi = map(index, window)
+    except TypeError:
+        raise ValueError(f"a fit window holds two integers (lo, hi): {window}") from None
     if not 1 <= lo <= hi:
         raise ValueError(f"a fit window is an interval (lo, hi), 1 <= lo <= hi: {window}")
     return lo, hi
@@ -497,13 +517,14 @@ def _matrix_mod_p(
     return [column(mono) for mono in monomials]
 
 
-def _rhs_mod_p(data, points: Sequence[int], p: int) -> list[int]:
+def _rhs_mod_p(data, points: Sequence[int], p: int) -> list[int] | None:
+    """The data at ``points`` mod p; None if p divides a denominator."""
     vals = []
     for n in points:
         q = data[n]
         den = q.denominator % p
         if den == 0:
-            raise FitSolverError(f"prime {p} divides a data denominator at n={n}")
+            return None
         vals.append(q.numerator % p * pow(den, p - 2, p) % p)
     return vals
 
@@ -605,42 +626,19 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
 def _agrees(expr: HarmonicExpr, data: Mapping[int, Fraction], points: Iterable[int]) -> bool:
     """Whether ``expr.evaluate(n) == data[n]`` at every point, in integers.
 
-    With L = lcm(1..n), every H_m(n) is an integer A_m over L^m.  A harmonic
-    group of weight w is then its integer polynomial over the lcm den of the
-    group denominators, times prod A_m^e, over den * L^w.  Scaled by
-    den * L^top, top the largest weight, the sum is an integer, compared with
-    the value by cross-multiplication; no Fraction is built.
+    The integer D * L^w * expr(n) of ``HarmonicExpr._scaled`` is compared
+    with the value by one cross-multiplication; no Fraction is built, and
+    L = lcm(1..n) grows from point to point.
     """
-    groups = expr._groups
-    den = lcm(*(d for _, _, d in groups))
-    top = max((sum(m * e for m, e in hp) for hp, _, _ in groups), default=0)
-    scaled = [
-        (hp, [c * (den // d) for c in nums], top - sum(m * e for m, e in hp))
-        for hp, nums, d in groups
-    ]
-    orders = {m for hp, _, _ in groups for m, _ in hp}
     ell, upto = 1, 1  # ell = lcm(1..upto)
     for n in sorted(points):
         while upto < n:
             upto += 1
             ell = lcm(ell, upto)
-        powers = [1]  # L^0 .. L^top
-        for _ in range(top):
-            powers.append(powers[-1] * ell)
-        num = {}
-        for m in orders:
-            h = harmonic(m, n)
-            num[m] = h.numerator * (powers[m] // h.denominator)
-        total = 0
-        for hp, nums, gap in scaled:
-            poly = 0
-            for c in nums:  # Horner, from n^top down
-                poly = poly * n + c
-            for m, e in hp:
-                poly *= num[m] ** e
-            total += poly * powers[gap]
+        powers = list(accumulate(repeat(ell, expr._top), mul, initial=1))  # L^0..L^w
         value = data[n]
-        if total * value.denominator != value.numerator * den * powers[top]:
+        scaled = expr._scaled(n, powers)
+        if scaled * value.denominator != value.numerator * expr._den * powers[-1]:
             return False
     return True
 
@@ -695,9 +693,10 @@ def fit(
     combined: list[int] = []
     for _ in range(_MAX_PRIMES):
         p = _fresh_prime(rng, used)
-        A = _matrix_mod_p(monos, train_pts, p)
         b = _rhs_mod_p(data, train_pts, p)
-        status, vec = _solve_mod_p(A, b, p)
+        if b is None:  # the data has no value mod p: this prime tells nothing
+            continue
+        status, vec = _solve_mod_p(_matrix_mod_p(monos, train_pts, p), b, p)
         if status != "unique":
             verdicts[status] = verdicts.get(status, 0) + 1
             # two independent primes must agree before declaring a verdict
@@ -783,6 +782,8 @@ def guess_moment(
     check_fit_order(r)
     if (train is None) != (test is None):
         raise ValueError("train and test windows must be given together")
+    if train is not None:
+        train, test = _window(train), _window(test)
     ladder = []
     for d in range(1, r + 1):
         monos = template(r, d, d)
@@ -793,7 +794,7 @@ def guess_moment(
         else:
             ladder.append((d, monos, (train, test)))
     if data is None:
-        top = max(_window(window)[1] for window in ladder[-1][2])
+        top = max(hi for _, hi in ladder[-1][2])
         data = moment_table(top, r, kind="raw" if r == 1 else "central").values
     for d, monos, windows in ladder:
         report = fit(data, monos, *windows)

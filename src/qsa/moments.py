@@ -120,7 +120,8 @@ class SeriesCache:
     are asked for.  Truncation is exact, so each coefficient is computed
     once, whichever order the table was grown in; but each ``ensure`` that
     adds rows recomputes its products over all rows, so callers ask once
-    for the largest n they will read.
+    for the largest n they will read.  One table may be used from several
+    threads: a lock serialises its growth.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER):

@@ -81,7 +81,9 @@ def harmonic(m: int, n: int) -> Fraction:
 
     ``harmonic(m, 0)`` is the empty sum 0.  Results are cached; prefix
     tables serve small ``n`` and binary splitting serves large ``n``
-    (``harmonic(1, 10**6)`` is a ~430000-digit reduced fraction).
+    (``harmonic(1, 10**6)`` is a ~430000-digit reduced fraction).  The
+    tables are shared and may be used from several threads: a lock
+    serialises their growth.
     """
     _check_harmonic_args(m, n)
     if n == 0:

@@ -70,6 +70,7 @@ class PgfCache:
     The table is built iteratively (no recursion) and each published
     polynomial is an immutable tuple.  The build exploits the k <-> n+1-k
     symmetry of the recurrence, halving the number of polynomial products.
+    One table may be used from several threads: a lock serialises its growth.
     """
 
     def __init__(self):

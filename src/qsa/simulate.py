@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from ._ranges import EXHAUSTIVE_LIMIT
@@ -37,6 +38,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        try:
+            index(self.n), index(self.trials)
+        except TypeError:
+            raise ValueError(
+                f"n and trials must be integers, got n={self.n!r}, trials={self.trials!r}"
+            ) from None
         if self.n < 0:
             raise ValueError("n must be non-negative")
         if self.trials < 1:

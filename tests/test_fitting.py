@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import example, given
@@ -131,8 +132,28 @@ _TERMS = st.lists(
 )
 
 
+@cache
 def _brute_harmonic(m, n):
     return sum((Fraction(1, i**m) for i in range(1, n + 1)), Fraction(0))
+
+
+def _coefficients(terms):
+    coeffs = {}
+    for a, h, c in terms:
+        mono = Monomial(a, h)
+        coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
+    return coeffs
+
+
+def _brute_value(coeffs, n):
+    """The independent reference: a term-by-term sum of brute harmonic numbers."""
+    total = Fraction(0)
+    for mono, c in coeffs.items():
+        value = c * n**mono.n_power
+        for m, e in mono.h_powers:
+            value *= _brute_harmonic(m, n) ** e
+        total += value
+    return total
 
 
 class TestGroupedEvaluate:
@@ -143,18 +164,15 @@ class TestGroupedEvaluate:
                (0, ((1, 1), (2, 1)), Fraction(-9, 10))],
         n=7,
     )
+    # above numeric._PREFIX_LIMIT, where H_m(n) comes from binary splitting
+    @example(
+        terms=[(2, (), Fraction(-5, 7)), (1, ((1, 2),), Fraction(3, 4)),
+               (0, ((1, 1), (2, 1)), Fraction(-9, 10)), (0, ((3, 2),), Fraction(2, 9))],
+        n=4001,
+    )
     def test_matches_term_by_term_sum(self, terms, n):
-        coeffs = {}
-        for a, h, c in terms:
-            mono = Monomial(a, h)
-            coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
-        expected = Fraction(0)
-        for mono, c in coeffs.items():
-            value = c * n**mono.n_power
-            for m, e in mono.h_powers:
-                value *= _brute_harmonic(m, n) ** e
-            expected += value
-        assert HarmonicExpr(coeffs).evaluate(n) == expected
+        coeffs = _coefficients(terms)
+        assert HarmonicExpr(coeffs).evaluate(n) == _brute_value(coeffs, n)
 
 
 class TestIntegerVerification:
@@ -171,15 +189,11 @@ class TestIntegerVerification:
     @example(terms=[], points={1: Fraction(0), 5: Fraction(1, 3)})
     @example(terms=[(0, ((3, 2),), Fraction(2, 9))], points={60: Fraction(1, 10**30)})
     def test_matches_fraction_evaluation(self, terms, points):
-        # data[n] is the value off by the drawn amount, zero or not
-        coeffs = {}
-        for a, h, c in terms:
-            mono = Monomial(a, h)
-            coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
-        expr = HarmonicExpr(coeffs)
-        data = {n: expr.evaluate(n) + delta for n, delta in points.items()}
-        expected = all(expr.evaluate(n) == data[n] for n in points)
-        assert _agrees(expr, data, list(points)) == expected
+        # data[n] is the reference value off by the drawn amount, zero or not
+        coeffs = _coefficients(terms)
+        data = {n: _brute_value(coeffs, n) + delta for n, delta in points.items()}
+        expected = not any(points.values())
+        assert _agrees(HarmonicExpr(coeffs), data, list(points)) == expected
 
     def test_closed_forms_agree_with_exact_moments(self):
         points = range(1, 61)
@@ -370,6 +384,16 @@ class TestFit:
         with pytest.raises(ValueError, match=overlap):
             fit(data, [Monomial(0), Monomial(1)], (1, 20), (5, 30))
 
+    def test_prime_dividing_a_data_denominator_is_skipped(self):
+        # the first prime fit draws; data over it has no value mod p, so fit
+        # moves on to the next prime
+        p = _fresh_prime(random.Random(0x5EED), set())
+        data = {n: Fraction(3 * n + 1, p) for n in range(1, 40)}
+        report = fit(data, [Monomial(0), Monomial(1)], (1, 20), (21, 39))
+        assert report.status == VERIFIED
+        assert report.expr == HarmonicExpr({Monomial(0): Fraction(1, p),
+                                            Monomial(1): Fraction(3, p)})
+
     def test_test_failure_reports_residuals(self):
         # train window fits an affine model exactly, test window refutes it
         data = {n: Fraction(n) for n in range(1, 31)}
@@ -434,6 +458,11 @@ class TestGuessMoment:
         assert report.status == VERIFIED
         assert (report.train_range, report.test_range) == ((1, 20), (21, 60))
         assert report.expr == known_mean()
+
+    def test_non_integral_windows_rejected_before_any_data(self, monkeypatch):
+        monkeypatch.setattr("qsa.fitting.moment_table", lambda *a, **k: pytest.fail("built"))
+        with pytest.raises(ValueError, match="two integers"):
+            guess_moment(1, train=(1.5, 9.7), test=(10, 306.2))
 
     def test_fixed_windows_come_together(self):
         with pytest.raises(ValueError):

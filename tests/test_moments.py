@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -12,6 +14,7 @@ import pytest
 
 import qsa
 import qsa.moments
+import qsa.numeric
 from qsa.errors import CrossCheckError
 from qsa.fitting import known_central_moment, known_mean
 from qsa.moments import (
@@ -25,7 +28,8 @@ from qsa.moments import (
     series_cache,
     stirling2,
 )
-from qsa.pgf import pgf
+from qsa.numeric import harmonic
+from qsa.pgf import PgfCache, pgf
 
 
 def row_by_row(order: int, n_max: int) -> list[tuple[int, ...]]:
@@ -359,3 +363,32 @@ class TestMomentTable:
             moment_table(10, 2, kind="weird")
         with pytest.raises(ValueError):
             moment_table(10, 0, kind="central")
+
+
+class TestSharedTablesAcrossThreads:
+    def test_four_threads_build_what_one_thread_builds(self, monkeypatch):
+        def build(pgfs, series):
+            return (
+                [pgfs.scaled(n) for n in range(31)],
+                [series.row(n) for n in (20, 40, 60)],
+                [harmonic(5, n) for n in (1000, 2000, 3000)],
+            )
+
+        monkeypatch.setattr(qsa.numeric, "_prefix", {})
+        alone = build(PgfCache(), SeriesCache(order=4))
+        monkeypatch.setattr(qsa.numeric, "_prefix", {})
+        pgfs, series = PgfCache(), SeriesCache(order=4)
+        start = threading.Barrier(4)
+
+        def job(_):
+            start.wait(timeout=60)
+            return build(pgfs, series)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to interleave the builds
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(job, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [alone] * 4

@@ -139,3 +139,5 @@ class TestMonteCarlo:
             SimConfig(n=5, trials=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(n=-1, trials=10, seed=1)
+        with pytest.raises(ValueError, match="integers"):
+            SimConfig(n=2.5, trials=3, seed=0)
