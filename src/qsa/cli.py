@@ -288,12 +288,11 @@ def limits(r_range, precision):
     lo, hi = r_range
     if lo < 2:
         raise click.UsageError("scaled moments require r >= 2")
-    from .fitting import check_fit_order, guess_moment
+    from .fitting import guess_moment
 
-    # fail before fitting anything
-    check_fit_order(hi)
-    # the top order first: its one build of the shared series table holds
-    # the data of every lower order, the variance (r = 2) included
+    # the top order first: it fails before any data is built if it is too
+    # high, and its one build of the shared series table holds the data of
+    # every lower order, the variance (r = 2) included
     reports = {r: guess_moment(r) for r in range(hi, 1, -1) if r >= lo or r == 2}
     base = reports[2]
     # mpmath arrives after the exact work, so its memory does not stack on it

@@ -39,6 +39,7 @@ from math import isqrt, lcm
 from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ._ranges import integer
 from .errors import FitSolverError, GuessError, InsufficientDataError
 from .moments import moment_table
 from .numeric import _PREFIX_LIMIT, check_precision, harmonic, harmonic_enclosure
@@ -747,16 +748,6 @@ def fit(
 # -----------------------------------------------------------------------
 
 
-def check_fit_order(r: int) -> None:
-    """Reject a moment order above :data:`MAX_FIT_ORDER`, naming its cost."""
-    if r > MAX_FIT_ORDER:
-        raise ValueError(
-            f"moment order {r} exceeds MAX_FIT_ORDER = {MAX_FIT_ORDER}: fitting "
-            f"order 9 needs a 970-monomial template and exact moment data to "
-            f"n = 1125"
-        )
-
-
 def guess_moment(
     r: int,
     *,
@@ -777,9 +768,15 @@ def guess_moment(
     data through the end of the last template's windows.  Orders above
     :data:`MAX_FIT_ORDER` are rejected before any data is built.
     """
+    r = integer(r, "r")
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    check_fit_order(r)
+    if r > MAX_FIT_ORDER:
+        raise ValueError(
+            f"moment order {r} exceeds MAX_FIT_ORDER = {MAX_FIT_ORDER}: fitting "
+            f"order 9 needs a 970-monomial template and exact moment data to "
+            f"n = 1125"
+        )
     if (train is None) != (test is None):
         raise ValueError("train and test windows must be given together")
     if train is not None:

@@ -54,6 +54,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add
 
 from ._intops import big_gcd
+from ._ranges import integer
 from .errors import CrossCheckError
 from .pgf import scaled_pgf
 
@@ -292,9 +293,14 @@ def _stirling_transform(coeffs, r: int):
 # Exact route (authoritative)
 # -----------------------------------------------------------------------
 
-@cache
 def raw_moment(n: int, r: int, /) -> Fraction:
     """Exact E[X_n^r] by direct summation over the PGF coefficients."""
+    # checked in front of the cache, where 5.0 would find the entry of 5
+    return _raw_moment(integer(n, "n"), integer(r, "r"))
+
+
+@cache
+def _raw_moment(n: int, r: int, /) -> Fraction:
     if n < 0 or r < 0:
         raise ValueError("arguments must be non-negative")
     offset, coeffs = scaled_pgf(n)
@@ -304,6 +310,7 @@ def raw_moment(n: int, r: int, /) -> Fraction:
 
 def central_moment(n: int, r: int) -> Fraction:
     """Exact E[(X_n - c_n)^r] via the binomial expansion over raw moments."""
+    r = integer(r, "r")
     if r < 1:
         raise ValueError("central moment order must be >= 1")
     mean = raw_moment(n, 1)
@@ -334,6 +341,7 @@ def moment_table(n_max: int, r: int, kind: str = "central") -> MomentTable:
     """
     if kind not in ("raw", "central"):
         raise ValueError(f"unknown moment kind {kind!r}")
+    n_max, r = integer(n_max, "n_max"), integer(r, "r")
     if r < 0 or (kind == "central" and r < 1):
         raise ValueError("invalid moment order")
     cache = series_cache(r)

@@ -17,7 +17,7 @@ the comparison-count moments are mpmath's (``mp.euler``, ``mp.zeta``), taken
 by each evaluation at its own working precision; the test suite re-derives
 them by independent series.  The module also owns the precision policy: the
 one range every evaluation and the command line accept,
-``PRECISION_RANGE``, defined in ``qsa._ranges``, which imports nothing, and
+``PRECISION_RANGE``, defined in ``qsa._ranges``, which loads no layer, and
 re-exported here.
 """
 

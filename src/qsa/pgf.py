@@ -17,13 +17,16 @@ n! gives the pure-integer form
 and each integer polynomial product is carried out by Kronecker
 substitution: coefficients are packed into fixed-width slots of one huge
 integer, multiplied once (GMP-fast when gmpy2 is installed), and unpacked.
-Every packed slot value is bounded by n! (the coefficients of G_n are
-non-negative and sum to exactly n!), so the slot width follows the largest
-n requested so far; the table is re-packed only when that width grows.
+Every accumulated slot value of step n is bounded by n! (the coefficients
+of G_n are non-negative and sum to exactly n!), so step n packs the rows it
+reads at the width n! needs, and drops the packed copies when it is done.
+The table stores only each row's offset and coefficients.
 
 Coefficients grow like n!, so memory for the full table up to n is
-O(n^4 log n) bits: about 40 MB at n = 130, and roughly (N/130)^4 as much
-at n = N.
+O(n^4 log n) bits: about 15 MB of coefficient bytes at n = 130 (28 MB as
+Python ints and tuples), and roughly (N/130)^4 as much at n = N.  The
+packed copies live only while their step runs: about 30 MB more during the
+step to n = 130.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from math import comb, factorial
 from typing import Iterator, Mapping, Union
 
 from ._intops import big_mul
+from ._ranges import integer
 from .errors import CrossCheckError
 
 
@@ -64,107 +68,86 @@ class DistPoly:
             yield self.min_k + i, p
 
 
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """One int holding each coefficient in a ``width``-byte slot, lowest first."""
+    slots = (c.to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(b"".join(slots), "little")
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    raw = value.to_bytes(count * width, "little")
+    return [
+        int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(count)
+    ]
+
+
 class PgfCache:
     """Bottom-up memo table of exact PGFs.
 
-    The table is built iteratively (no recursion) and each published
-    polynomial is an immutable tuple.  The build exploits the k <-> n+1-k
-    symmetry of the recurrence, halving the number of polynomial products.
-    One table may be used from several threads: a lock serialises its growth.
+    The table is built iteratively (no recursion) and stores each row once,
+    as the offset and immutable coefficient tuple of n! * g_n.  Each step
+    packs the rows it reads at the slot width its own n! needs.  The build
+    exploits the k <-> n+1-k symmetry of the recurrence, halving the number
+    of polynomial products.  One table may be used from several threads: a
+    lock serialises its growth.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._offsets: list[int] = []
-        self._coeffs: list[tuple[int, ...]] = []
-        self._packed: list[int] = []
-        self._dists: dict[int, DistPoly] = {}
-        self._slot_bytes = 0
-
-    def _pack(self, coeffs: tuple[int, ...]) -> int:
-        slots = (c.to_bytes(self._slot_bytes, "little") for c in coeffs)
-        return int.from_bytes(b"".join(slots), "little")
-
-    def _unpack(self, value: int, count: int) -> list[int]:
-        sb = self._slot_bytes
-        raw = value.to_bytes(count * sb, "little")
-        return [
-            int.from_bytes(raw[i * sb : (i + 1) * sb], "little") for i in range(count)
-        ]
+        self._rows: list[tuple[int, tuple[int, ...]]] = []
 
     def _build_next(self) -> None:
-        n = len(self._coeffs)
+        n = len(self._rows)
         if n <= 1:
-            offset, coeffs, packed = 0, (1,), 1
-        else:
-            offs = self._offsets
-            lens = [len(c) for c in self._coeffs]
-            pair_off = [offs[k - 1] + offs[n - k] for k in range(1, n + 1)]
-            base = min(pair_off)
-            span = (
-                max(
-                    pair_off[k - 1] + lens[k - 1] + lens[n - k] - 1
-                    for k in range(1, n + 1)
-                )
-                - base
+            self._rows.append((0, (1,)))
+            return
+        offs = [off for off, _ in self._rows]
+        lens = [len(c) for _, c in self._rows]
+        pair_off = [offs[k - 1] + offs[n - k] for k in range(1, n + 1)]
+        base = min(pair_off)
+        span = (
+            max(
+                pair_off[k - 1] + lens[k - 1] + lens[n - k] - 1
+                for k in range(1, n + 1)
             )
-            slot_bits = self._slot_bytes * 8
-            acc = 0
-            # pivots k and n+1-k give the same product; the middle one of
-            # an odd n stands alone
-            for k in range(1, (n + 1) // 2 + 1):
-                w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
-                prod = big_mul(self._packed[k - 1], self._packed[n - k])
-                acc += w * (prod << ((pair_off[k - 1] - base) * slot_bits))
-            unpacked = self._unpack(acc, span)
-            while unpacked and unpacked[-1] == 0:
-                unpacked.pop()
-            offset, coeffs = base + n - 1, tuple(unpacked)
-            # total mass n! * g_n(1) = n!; also guards slot overflow
-            if sum(coeffs) != factorial(n):
-                raise CrossCheckError(f"PGF mass at n={n} is not n!")
-            # no slot overflowed, so acc is already G_n in packed form
-            packed = acc
-        self._offsets.append(offset)
-        self._coeffs.append(coeffs)
-        self._packed.append(packed)
-
-    def _ensure(self, n: int) -> None:
-        with self._lock:
-            if n < len(self._coeffs):
-                return
-            # A slot must hold any accumulated coefficient of G_0..G_n, all
-            # of which are bounded by n! (non-negative, total mass n!).
-            slot_bytes = (factorial(n).bit_length() + 9) // 8
-            if slot_bytes != self._slot_bytes:
-                self._slot_bytes = slot_bytes
-                self._packed = [self._pack(c) for c in self._coeffs]
-            while len(self._coeffs) <= n:
-                self._build_next()
+            - base
+        )
+        # A slot must hold any accumulated coefficient of G_n; all of them
+        # are bounded by n! (non-negative, total mass n!).
+        width = (factorial(n).bit_length() + 9) // 8
+        packed = [_pack(c, width) for _, c in self._rows]
+        acc = 0
+        # pivots k and n+1-k give the same product; the middle one of
+        # an odd n stands alone
+        for k in range(1, (n + 1) // 2 + 1):
+            w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
+            prod = big_mul(packed[k - 1], packed[n - k])
+            acc += w * (prod << ((pair_off[k - 1] - base) * width * 8))
+        unpacked = _unpack(acc, span, width)
+        while unpacked and unpacked[-1] == 0:
+            unpacked.pop()
+        coeffs = tuple(unpacked)
+        # total mass n! * g_n(1) = n!; also guards slot overflow
+        if sum(coeffs) != factorial(n):
+            raise CrossCheckError(f"PGF mass at n={n} is not n!")
+        self._rows.append((base + n - 1, coeffs))
 
     def scaled(self, n: int) -> tuple[int, tuple[int, ...]]:
         """Offset and integer coefficients of n! * g_n (the stored tuple)."""
+        n = integer(n, "n")
         if n < 0:
             raise ValueError("n must be non-negative")
-        self._ensure(n)
-        return self._offsets[n], self._coeffs[n]
+        with self._lock:
+            while len(self._rows) <= n:
+                self._build_next()
+        return self._rows[n]
 
     def get(self, n: int) -> DistPoly:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        self._ensure(n)
-        with self._lock:
-            dist = self._dists.get(n)
-            if dist is None:
-                nf = factorial(n)
-                offset, coeffs = self._offsets[n], self._coeffs[n]
-                dist = DistPoly(
-                    n=n,
-                    min_k=offset,
-                    probs=tuple(Fraction(c, nf) for c in coeffs),
-                )
-                self._dists[n] = dist
-        return dist
+        offset, coeffs = self.scaled(n)
+        nf = factorial(n)
+        return DistPoly(
+            n=n, min_k=offset, probs=tuple(Fraction(c, nf) for c in coeffs)
+        )
 
 
 _default_cache = PgfCache()
@@ -174,8 +157,9 @@ def pgf(n: int) -> DistPoly:
     """Exact distribution of the comparison count on random length-n input.
 
     Memoized bottom-up: requesting n forces g_0 .. g_{n-1} as well.  The
-    shared table's slot width follows the largest n requested; see the
-    module docstring for the memory cost.
+    shared table stores integer coefficients only, and each call builds its
+    Fraction probabilities afresh; see the module docstring for the memory
+    cost.
     """
     return _default_cache.get(n)
 

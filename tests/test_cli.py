@@ -171,10 +171,11 @@ class TestLimitsCommand:
     def test_order_without_zeta_constant_fails_before_fitting(
         self, runner, monkeypatch
     ):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("guess_moment called")
+        def no_work(*args, **kwargs):
+            raise AssertionError("moment data built or a fit run")
 
-        monkeypatch.setattr("qsa.fitting.guess_moment", no_fit)
+        monkeypatch.setattr("qsa.fitting.moment_table", no_work)
+        monkeypatch.setattr("qsa.fitting.fit", no_work)
         result = runner.invoke(cli, ["limits", "--r", "3..9"])
         assert result.exit_code == 1
         assert "moment order 9 exceeds MAX_FIT_ORDER = 8" in result.output

@@ -16,7 +16,7 @@ import qsa
 import qsa.moments
 import qsa.numeric
 from qsa.errors import CrossCheckError
-from qsa.fitting import known_central_moment, known_mean
+from qsa.fitting import guess_moment, known_central_moment, known_mean
 from qsa.moments import (
     SeriesCache,
     _convolve,
@@ -29,7 +29,7 @@ from qsa.moments import (
     stirling2,
 )
 from qsa.numeric import harmonic
-from qsa.pgf import PgfCache, pgf
+from qsa.pgf import PgfCache, pgf, scaled_pgf
 
 
 def row_by_row(order: int, n_max: int) -> list[tuple[int, ...]]:
@@ -392,3 +392,20 @@ class TestSharedTablesAcrossThreads:
         finally:
             sys.setswitchinterval(interval)
         assert results == [alone] * 4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: pgf(3.5), id="pgf"),
+        pytest.param(lambda: scaled_pgf(3.0), id="scaled_pgf"),
+        pytest.param(lambda: moment_table(10.5, 2), id="moment_table"),
+        pytest.param(lambda: central_moment(4, 2.0), id="central_moment"),
+        pytest.param(lambda: guess_moment(2.5), id="guess_moment"),
+        # with raw_moment(5, 2) cached, 5.0 hashes to its entry
+        pytest.param(lambda: (raw_moment(5, 2), raw_moment(5.0, 2)), id="raw_moment-warm"),
+    ],
+)
+def test_non_integral_sizes_rejected_at_entry(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()

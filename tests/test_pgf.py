@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qsa.errors import CrossCheckError
 from qsa.fitting import known_mean
-from qsa.pgf import PgfCache, convolve, pgf, scaled_pgf
+from qsa.pgf import PgfCache, _pack, convolve, pgf, scaled_pgf
 
 
 class TestBaseCases:
@@ -101,31 +101,26 @@ class TestInvariants:
     def test_corrupted_table_raises_cross_check_error(self):
         cache = PgfCache()
         cache.scaled(6)
-        # one more unit on the lowest coefficient of G_3, in both stored
-        # forms: the build reads the packed one, re-packing reads the tuple
-        coeffs = cache._coeffs[3]
-        cache._coeffs[3] = (coeffs[0] + 1,) + coeffs[1:]
-        cache._packed[3] += 1
+        # one more unit on the lowest coefficient of G_3, the only stored form
+        offset, coeffs = cache._rows[3]
+        cache._rows[3] = (offset, (coeffs[0] + 1,) + coeffs[1:])
         with pytest.raises(CrossCheckError):
             cache.scaled(7)
 
     def test_widening_slots_keeps_coefficients(self):
+        # each step packs at its own width, so growing in stages and
+        # building at once must store the same rows
         grown, direct = PgfCache(), PgfCache()
-        widths = []
         for n in (20, 45, 60):
             grown.scaled(n)
-            widths.append(grown._slot_bytes)
-        assert widths == sorted(set(widths)), widths  # every step re-packed
         direct.scaled(60)
         for n in range(61):
             assert grown.scaled(n) == direct.scaled(n), n
 
     def test_coefficient_wider_than_its_slot_raises(self):
-        cache = PgfCache()
         # a slot of one byte cannot hold 256, which would spill into the next
-        cache._slot_bytes = 1
         with pytest.raises(OverflowError):
-            cache._pack((1, 256, 1))
+            _pack((1, 256, 1), 1)
 
     def test_cached_coefficients_are_immutable(self):
         with pytest.raises(AttributeError):
