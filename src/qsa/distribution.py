@@ -33,6 +33,7 @@ from typing import Union
 # compiled from source as it is imported, and compiling fitting.py takes about
 # 2 MB for a moment; loaded first, that peak does not stack on mpmath's 4 MB,
 # and a cold `qsa tail` or `qsa density` peaks about 1 MB lower.
+from ._ranges import integer
 from .errors import CrossCheckError
 from .fitting import evaluate_asymptotic, known_central_moment, known_mean
 from .moments import central_moment, raw_moment
@@ -97,6 +98,7 @@ def scale(n: int, precision: int = 50) -> ScaledDistribution:
     mass 1, first moment c_n, and second central moment m_2(n), all as
     exact rationals.
     """
+    n = integer(n, "n")  # in front of the cache, where 5.0 would find 5
     if n < 3:
         raise ValueError("scaling requires n >= 3 (zero variance below)")
     check_precision(precision)

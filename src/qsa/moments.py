@@ -241,12 +241,13 @@ def series_cache(order: int = DEFAULT_ORDER) -> SeriesCache:
     Every order is served by the same object; the table holds only the
     orders asked of it so far.
     """
-    _shared_series.raise_order(order)
+    _shared_series.raise_order(integer(order, "order"))
     return _shared_series
 
 
 def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
     """Truncated expansions of g_n(1+w) for n = 0..n_max."""
+    n_max = integer(n_max, "n_max")
     cache = series_cache(order)
     cache.ensure(n_max)  # one build for every row
     out = []
@@ -257,16 +258,21 @@ def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSe
     return out
 
 
-@cache
 def stirling2(r: int, j: int) -> int:
     """Stirling number of the second kind S(r, j)."""
+    # checked in front of the cache, where (3, 1.0) would find the entry of (3, 1)
+    return _stirling2(integer(r, "r"), integer(j, "j"))
+
+
+@cache
+def _stirling2(r: int, j: int) -> int:
     if r < 0 or j < 0:
         raise ValueError("indices must be non-negative")
     if r == j:
         return 1
     if j == 0 or j > r:
         return 0
-    return j * stirling2(r - 1, j) + stirling2(r - 1, j - 1)
+    return j * _stirling2(r - 1, j) + _stirling2(r - 1, j - 1)
 
 
 def moments_from_factorial(series: TruncatedSeries, r: int) -> Fraction:
@@ -286,7 +292,7 @@ def moments_from_factorial(series: TruncatedSeries, r: int) -> Fraction:
 def _stirling_transform(coeffs, r: int):
     # sum_j S(r, j) * j! * coeffs[j]: exact over Fractions and over the
     # n!-scaled integer rows alike
-    return sum(stirling2(r, j) * factorial(j) * coeffs[j] for j in range(r + 1))
+    return sum(_stirling2(r, j) * factorial(j) * coeffs[j] for j in range(r + 1))
 
 
 # -----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from math import comb, factorial, prod
 from typing import TYPE_CHECKING
 
 from ._intops import big, big_gcd
-from ._ranges import PRECISION_RANGE
+from ._ranges import PRECISION_RANGE, integer
 from .errors import EnclosureError
 
 if TYPE_CHECKING:
@@ -109,9 +109,14 @@ def _harmonic_large(m: int, n: int) -> Fraction:
 # -----------------------------------------------------------------------
 
 
-@cache
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2)."""
+    # checked in front of the cache, where 4.0 would find the entry of 4
+    return _bernoulli(integer(k, "k"))
+
+
+@cache
+def _bernoulli(k: int) -> Fraction:
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
     if k == 0:
@@ -120,7 +125,7 @@ def bernoulli(k: int) -> Fraction:
         return Fraction(0)
     acc = Fraction(0)
     for j in range(k):
-        acc += comb(k + 1, j) * bernoulli(j)
+        acc += comb(k + 1, j) * _bernoulli(j)
     return -acc / (k + 1)
 
 

@@ -15,6 +15,7 @@ import pytest
 import qsa
 import qsa.moments
 import qsa.numeric
+from qsa.distribution import scale, tail_probability
 from qsa.errors import CrossCheckError
 from qsa.fitting import guess_moment, known_central_moment, known_mean
 from qsa.moments import (
@@ -28,8 +29,9 @@ from qsa.moments import (
     series_cache,
     stirling2,
 )
-from qsa.numeric import harmonic
+from qsa.numeric import bernoulli, harmonic
 from qsa.pgf import PgfCache, pgf, scaled_pgf
+from qsa.simulate import exhaustive_distribution
 
 
 def row_by_row(order: int, n_max: int) -> list[tuple[int, ...]]:
@@ -407,5 +409,30 @@ class TestSharedTablesAcrossThreads:
     ],
 )
 def test_non_integral_sizes_rejected_at_entry(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: stirling2(2.5, 1), id="stirling2"),
+        pytest.param(lambda: stirling2(3, 1.0), id="stirling2-j"),
+        pytest.param(lambda: factorial_series(2.5), id="factorial_series"),
+        pytest.param(lambda: factorial_series(3, 2.5), id="factorial_series-order"),
+        pytest.param(lambda: series_cache(2.5), id="series_cache"),
+        pytest.param(lambda: bernoulli(2.5), id="bernoulli"),
+        pytest.param(lambda: exhaustive_distribution(3.5), id="exhaustive_distribution"),
+        # each warm case caches the integral argument first, whose entry the
+        # float would hash to
+        pytest.param(lambda: (bernoulli(4), bernoulli(4.0)), id="bernoulli-warm"),
+        pytest.param(lambda: (scale(5), scale(5.0)), id="scale-warm"),
+        pytest.param(
+            lambda: (scale(5), tail_probability(40, 150, surrogate_n=5.0)),
+            id="tail_probability-warm",
+        ),
+    ],
+)
+def test_non_integral_arguments_rejected_in_front_of_caches(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
