@@ -3,10 +3,13 @@
 The package computes the full probability distribution of the number of
 comparisons randomized quicksort performs on a random permutation - in
 exact rational arithmetic - and everything downstream of it: closed forms
-for the mean and central moments (rediscovered by fitting harmonic-number
-templates to exact data and verifying with zero residuals), limiting
-scaled-moment constants, and tail probabilities of the scaled
-distribution, plus an independent simulator used as ground truth.
+for the mean and central moments, limiting scaled-moment constants, and
+tail probabilities of the scaled distribution, plus an independent
+simulator used as ground truth.  The closed forms come two ways: fitted
+to exact data by harmonic-number templates and verified with zero
+residuals (``guess_moment``), and derived from the generating function's
+differential equation, so that they hold for every n (``derived_moment``,
+which the limits are taken from).
 
 Importing the package loads only the exception types and the exact-PGF
 layer.  Every other public name is imported from its submodule on first
@@ -39,6 +42,7 @@ _LAZY = {
     for module, names in {
         "asymptotics": "AsymptoticValue coefficient_of_variation leading_coefficient "
         "mean_asymptotic_check mean_over_nlogn scaled_moment_limit",
+        "derive": "derived_moment moment_gf",
         "distribution": "DensityBin ScaledDistribution TailEstimate export_density "
         "scale tail_probability",
         "fitting": "REFUTED UNDETERMINED VERIFIED FitReport HarmonicExpr Monomial "

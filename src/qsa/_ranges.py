@@ -20,8 +20,14 @@ EXHAUSTIVE_LIMIT = 12
 
 
 def integer(value, name: str) -> int:
-    """``value`` as an int; a ``ValueError`` naming it if it is not integral."""
+    """``value`` as an int; a ``ValueError`` naming it if it is not integral.
+
+    ``True`` and ``False`` are refused too, as ``numeric.harmonic`` and
+    ``HarmonicExpr.evaluate`` refuse them.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -1,8 +1,10 @@
-"""Limiting behaviour of the fitted moment closed forms.
+"""Limiting behaviour of the moment closed forms.
 
 The scaled moments m_r(n)/m_2(n)^(r/2) converge to finite constants; this
-module evaluates them numerically from verified closed forms, never by
-symbolic series manipulation.  Two substitution modes are used:
+module evaluates them numerically from exact closed forms: those derived
+from the generating function (:mod:`qsa.derive`, which ``qsa limits``
+uses) or verified fits (:func:`qsa.fitting.guess_moment`), which are term
+for term the same.  Two substitution modes are used:
 
 * limit substitution, H_1(n) -> ln n + gamma and H_m(n) -> zeta(m), with
   gamma and zeta(m) from mpmath at the evaluation's working precision,
@@ -78,7 +80,7 @@ def scaled_moment_limit(
     expr_2: HarmonicExpr,
     precision: int = 50,
 ) -> AsymptoticValue:
-    """Limit of m_r(n)/m_2(n)^(r/2) from verified closed forms.
+    """Limit of m_r(n)/m_2(n)^(r/2) from exact closed forms.
 
     Evaluates the leading parts at each of :data:`LIMIT_POINTS` with limit
     substitution and requires :data:`LIMIT_STABILITY` agreeing digits; an

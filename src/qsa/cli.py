@@ -279,28 +279,28 @@ def guess(r, train, test):
               help="Scaled moment order(s), e.g. 3 or 3..8.")
 @_precision_option
 def limits(r_range, precision):
-    """Limiting scaled moments from freshly fitted closed forms.
+    """Limiting scaled moments from closed forms derived from the generating function.
 
-    One JSON object per line.  Order 8 needs moment data up to n = 758:
-    ``--r 3..8`` takes 7-10 s on first use on a 2-CPU machine without
-    gmpy2.  Orders above ``fitting.MAX_FIT_ORDER`` (8) fail at once.
+    One JSON object per line.  The forms are proved for every n
+    (``qsa.derive``), not fitted; ``--r 3..8`` derives them in well under a
+    second.  Orders above ``fitting.MAX_FIT_ORDER`` (8) fail at once, as
+    ``guess`` does.
     """
     lo, hi = r_range
     if lo < 2:
         raise click.UsageError("scaled moments require r >= 2")
-    from .fitting import guess_moment
+    from .fitting import check_fit_order
 
-    # the top order first: it fails before any data is built if it is too
-    # high, and its one build of the shared series table holds the data of
-    # every lower order, the variance (r = 2) included
-    reports = {r: guess_moment(r) for r in range(hi, 1, -1) if r >= lo or r == 2}
-    base = reports[2]
+    check_fit_order(hi)
+    from .derive import derived_moment
+
+    forms = {r: derived_moment(r) for r in (2, *range(lo, hi + 1))}
     # mpmath arrives after the exact work, so its memory does not stack on it
     from .asymptotics import scaled_moment_limit
 
     lines = []
     for r in range(lo, hi + 1):
-        val = scaled_moment_limit(r, reports[r].expr, base.expr, precision)
+        val = scaled_moment_limit(r, forms[r], forms[2], precision)
         lines.append(
             json.dumps(
                 {

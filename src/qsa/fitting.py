@@ -748,6 +748,20 @@ def fit(
 # -----------------------------------------------------------------------
 
 
+def check_fit_order(r: int) -> None:
+    """Refuse a moment order above :data:`MAX_FIT_ORDER` with a ``ValueError``.
+
+    ``guess_moment`` and the ``limits`` command serve the same orders, and
+    both refuse a higher one before any data is built or any form derived.
+    """
+    if r > MAX_FIT_ORDER:
+        raise ValueError(
+            f"moment order {r} exceeds MAX_FIT_ORDER = {MAX_FIT_ORDER}: fitting "
+            f"order 9 needs a 970-monomial template and exact moment data to "
+            f"n = 1125"
+        )
+
+
 def guess_moment(
     r: int,
     *,
@@ -771,12 +785,7 @@ def guess_moment(
     r = integer(r, "r")
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    if r > MAX_FIT_ORDER:
-        raise ValueError(
-            f"moment order {r} exceeds MAX_FIT_ORDER = {MAX_FIT_ORDER}: fitting "
-            f"order 9 needs a 970-monomial template and exact moment data to "
-            f"n = 1125"
-        )
+    check_fit_order(r)
     if (train is None) != (test is None):
         raise ValueError("train and test windows must be given together")
     if train is not None:

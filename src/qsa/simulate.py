@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 from typing import Sequence
 
 from ._ranges import EXHAUSTIVE_LIMIT, integer
@@ -47,8 +46,8 @@ class SimConfig:
 
     def __post_init__(self):
         try:
-            index(self.n), index(self.trials)
-        except TypeError:
+            integer(self.n, "n"), integer(self.trials, "trials")
+        except ValueError:
             raise ValueError(
                 f"n and trials must be integers, got n={self.n!r}, trials={self.trials!r}"
             ) from None

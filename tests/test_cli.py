@@ -181,12 +181,12 @@ class TestLimitsCommand:
         assert "moment order 9 exceeds MAX_FIT_ORDER = 8" in result.output
         assert "970-monomial template" in result.output
 
-    def test_shared_table_grows_once(self):
-        # the top order is fitted first, so the data of orders 2..6 (windows
-        # ending at 306, then 365 for order 6) is one build of the table
+    def test_builds_no_moment_data(self):
+        # the forms are derived from the generating function, not fitted
         src = str(Path(qsa.__file__).resolve().parents[1])
         code = (
             "from qsa.cli import cli\n"
+            "import qsa.moments\n"
             "from qsa.moments import SeriesCache\n"
             "ensure, grown = SeriesCache.ensure, []\n"
             "def recorded(self, n):\n"
@@ -198,14 +198,15 @@ class TestLimitsCommand:
             "    cli.main(['limits', '--r', '3..6', '--precision', '30'])\n"
             "except SystemExit as exc:\n"
             "    assert not exc.code, exc.code\n"
-            "print(grown)"
+            "print(grown)\n"
+            "print(qsa.moments._shared_series.order)"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert done.stdout.strip().splitlines()[-1] == "[(6, 365)]"
+        assert done.stdout.strip().splitlines()[-2:] == ["[]", "0"]
 
 
 class TestDistributionCommands:

@@ -27,6 +27,7 @@ OUTPUTS = [
     ),
     ("guess --r 3", 0, "810cd618913aed4e8b7635e7d675168d2788027ca0727ff32cbcf8add9950973"),
     ("limits --r 3..4 --precision 30", 0, "1acdfe15aafab563c3d82dbb86e26a09bce922d0523c5fef6e318f84677d3a5e"),
+    ("limits --r 3..8 --precision 50", 0, "b5652edede9a6d6f3b8d0cf0d25cbccf09975d76575b5bcc9fbd372ca2a69007"),
     ("limits --r 3 --precision 100", 0, "95a6e9fac737c1a0f53add029dd4932704f5e0ace52fd0935f899098c1baca16"),
     ("tail --n 40 --x 192 --surrogate 40", 0, "f2bfc98d196ed7b2ba764b58d0e3c9a17c7f1ae736ed907791ef2cf9021b6f28"),
     ("tail --n 10034 --x 147579 --surrogate 40", 0, "b4d23e3afa702a0802f14c6b95556f290faa8dffca493e9d3155afa5bf899352"),

@@ -18,7 +18,9 @@ import qsa
 
 SRC = str(Path(qsa.__file__).resolve().parents[1])
 HEAVY = ("mpmath", "numpy")
-LAYERS = ("fitting", "moments", "numeric", "distribution", "asymptotics", "simulate")
+LAYERS = (
+    "fitting", "moments", "numeric", "distribution", "asymptotics", "simulate", "derive",
+)
 
 
 def loaded_after(code: str) -> set[str]:

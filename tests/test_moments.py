@@ -31,7 +31,7 @@ from qsa.moments import (
 )
 from qsa.numeric import bernoulli, harmonic
 from qsa.pgf import PgfCache, pgf, scaled_pgf
-from qsa.simulate import exhaustive_distribution
+from qsa.simulate import SimConfig, exhaustive_distribution
 
 
 def row_by_row(order: int, n_max: int) -> list[tuple[int, ...]]:
@@ -435,4 +435,23 @@ def test_non_integral_sizes_rejected_at_entry(call):
 )
 def test_non_integral_arguments_rejected_in_front_of_caches(call):
     with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: stirling2(True, 1), id="stirling2"),
+        pytest.param(lambda: factorial_series(True), id="factorial_series"),
+        pytest.param(lambda: series_cache(True), id="series_cache"),
+        pytest.param(lambda: bernoulli(True), id="bernoulli"),
+        pytest.param(lambda: scale(True), id="scale"),
+        pytest.param(lambda: exhaustive_distribution(True), id="exhaustive_distribution"),
+        pytest.param(lambda: SimConfig(n=True, trials=3, seed=0), id="SimConfig"),
+        pytest.param(lambda: moment_table(True, 2), id="moment_table"),
+    ],
+)
+def test_bools_rejected_as_sizes(call):
+    # as numeric.harmonic and HarmonicExpr.evaluate reject them
+    with pytest.raises(ValueError, match=r"must be (an integer|integers), got (n=)?True"):
         call()
