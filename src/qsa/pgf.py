@@ -17,16 +17,25 @@ n! gives the pure-integer form
 and each integer polynomial product is carried out by Kronecker
 substitution: coefficients are packed into fixed-width slots of one huge
 integer, multiplied once (GMP-fast when gmpy2 is installed), and unpacked.
-Every accumulated slot value of step n is bounded by n! (the coefficients
-of G_n are non-negative and sum to exactly n!), so step n packs the rows it
-reads at the width n! needs, and drops the packed copies when it is done.
-The table stores only each row's offset and coefficients.
+
+Slot widths follow each product, not the step.  Let 2^e_m be the largest
+power of two dividing every coefficient of G_m, H_m = G_m / 2^e_m and
+s_m = H_m(1) = m! / 2^e_m.  The coefficients are non-negative, so every
+coefficient of H_a * H_b is at most s_a * s_b <= a! b!, and the pair (a, b)
+is multiplied in slots of the byte width of s_a * s_b.  A build packs each
+row once, at the width of its own s_m, and moves a row into its pair's
+wider slots, and a product into the n!-width slots of the step's
+accumulator, by one bytearray slice copy per byte column.  The product,
+weighted by C(n-1, k-1) * 2^(e_a + e_b), is added there: every accumulated
+slot value of step n is bounded by n! (the coefficients of G_n are
+non-negative and sum to exactly n!).  The table stores only each row's
+offset and coefficients.
 
 Coefficients grow like n!, so memory for the full table up to n is
 O(n^4 log n) bits: about 15 MB of coefficient bytes at n = 130 (28 MB as
 Python ints and tuples), and roughly (N/130)^4 as much at n = N.  The
-packed copies live only while their step runs: about 30 MB more during the
-step to n = 130.
+packed rows live only while their build runs: about 20 MB at n = 130, and
+no step makes an n!-width copy of every row (30 MB at n = 130).
 """
 
 from __future__ import annotations
@@ -34,8 +43,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
-from typing import Iterator, Mapping, Union
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Union
 
 from ._intops import big_mul
 from ._ranges import integer
@@ -68,7 +79,7 @@ class DistPoly:
             yield self.min_k + i, p
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+def _pack(coeffs: Iterable[int], width: int) -> int:
     """One int holding each coefficient in a ``width``-byte slot, lowest first."""
     slots = (c.to_bytes(width, "little") for c in coeffs)
     return int.from_bytes(b"".join(slots), "little")
@@ -81,26 +92,79 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
     ]
 
 
+def _byte_width(bound: int) -> int:
+    """Bytes of a slot that holds every value from 0 to ``bound``."""
+    return (bound.bit_length() + 7) // 8
+
+
+def _step_width(n: int) -> int:
+    """Slot width of step n's accumulator: every coefficient of G_n is <= n!."""
+    return (factorial(n).bit_length() + 9) // 8
+
+
+def _widen(value: int, count: int, u: int, v: int) -> int:
+    """``count`` slots of ``u`` bytes moved into slots of ``v >= u`` bytes.
+
+    Every copy is one C-level slice assignment: one per slot when there are
+    no more slots than bytes in a slot, otherwise one per byte column (the
+    j-th byte of every slot at once).
+    """
+    if u == v:
+        return value
+    raw = value.to_bytes(count * u, "little")
+    out = bytearray(count * v)
+    if count <= u:
+        for i in range(count):
+            out[i * v : i * v + u] = raw[i * u : (i + 1) * u]
+    else:
+        for j in range(u):
+            out[j::v] = raw[j::u]
+    return int.from_bytes(out, "little")
+
+
+def _reduced_row(m: int, coeffs: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Shift e, mass s, slot width and packed form of H_m = G_m / 2^e.
+
+    2^e is the largest power of two dividing every coefficient of G_m: the
+    lowest set bit of their bitwise OR, to which a zero coefficient adds
+    nothing.  The row is checked first, since a coefficient that is negative
+    or wider than the mass cannot be packed.
+    """
+    if min(coeffs) < 0 or sum(coeffs) != factorial(m):
+        raise CrossCheckError(
+            f"stored PGF row {m} has a negative coefficient or a mass other than {m}!"
+        )
+    bits = reduce(or_, coeffs)
+    shift = (bits & -bits).bit_length() - 1
+    mass = factorial(m) >> shift
+    width = _byte_width(mass)
+    return shift, mass, width, _pack((c >> shift for c in coeffs), width)
+
+
 class PgfCache:
     """Bottom-up memo table of exact PGFs.
 
     The table is built iteratively (no recursion) and stores each row once,
-    as the offset and immutable coefficient tuple of n! * g_n.  Each step
-    packs the rows it reads at the slot width its own n! needs.  The build
-    exploits the k <-> n+1-k symmetry of the recurrence, halving the number
-    of polynomial products.  One table may be used from several threads: a
-    lock serialises its growth.
+    as the offset and immutable coefficient tuple of n! * g_n.  A build packs
+    each row it reads once, at the row's own width, and keeps the packed
+    forms only until it returns.  The build exploits the k <-> n+1-k
+    symmetry of the recurrence, halving the number of polynomial products.
+    One table may be used from several threads: a lock serialises its
+    growth.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
         self._rows: list[tuple[int, tuple[int, ...]]] = []
 
-    def _build_next(self) -> None:
+    def _build_next(self, reduced: list[tuple[int, int, int, int]]) -> None:
+        """Append G_n; ``reduced`` holds this build's ``_reduced_row`` forms."""
         n = len(self._rows)
         if n <= 1:
             self._rows.append((0, (1,)))
             return
+        for m in range(len(reduced), n):
+            reduced.append(_reduced_row(m, self._rows[m][1]))
         offs = [off for off, _ in self._rows]
         lens = [len(c) for _, c in self._rows]
         pair_off = [offs[k - 1] + offs[n - k] for k in range(1, n + 1)]
@@ -112,17 +176,27 @@ class PgfCache:
             )
             - base
         )
-        # A slot must hold any accumulated coefficient of G_n; all of them
-        # are bounded by n! (non-negative, total mass n!).
-        width = (factorial(n).bit_length() + 9) // 8
-        packed = [_pack(c, width) for _, c in self._rows]
+        width = _step_width(n)
         acc = 0
         # pivots k and n+1-k give the same product; the middle one of
         # an odd n stands alone
         for k in range(1, (n + 1) // 2 + 1):
+            a, b = k - 1, n - k
+            shift_a, mass_a, width_a, packed_a = reduced[a]
+            shift_b, mass_b, width_b, packed_b = reduced[b]
+            # H_a * H_b has non-negative coefficients summing to s_a * s_b,
+            # so slots of that width hold it, and s_a * s_b <= a! b! < n!
+            pair = _byte_width(mass_a * mass_b)
+            prod = big_mul(
+                _widen(packed_a, lens[a], width_a, pair),
+                _widen(packed_b, lens[b], width_b, pair),
+            )
             w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
-            prod = big_mul(packed[k - 1], packed[n - k])
-            acc += w * (prod << ((pair_off[k - 1] - base) * width * 8))
+            wide = _widen(prod, lens[a] + lens[b] - 1, pair, width)
+            # G_a G_b = 2^(e_a + e_b) H_a H_b, and the weighted coefficients
+            # stay below n!, so the extra shift stays inside each slot
+            shift = (pair_off[k - 1] - base) * width * 8 + shift_a + shift_b
+            acc += (w * wide) << shift
         unpacked = _unpack(acc, span, width)
         while unpacked and unpacked[-1] == 0:
             unpacked.pop()
@@ -138,8 +212,9 @@ class PgfCache:
         if n < 0:
             raise ValueError("n must be non-negative")
         with self._lock:
+            reduced: list[tuple[int, int, int, int]] = []
             while len(self._rows) <= n:
-                self._build_next()
+                self._build_next(reduced)
         return self._rows[n]
 
     def get(self, n: int) -> DistPoly:

@@ -1,7 +1,7 @@
 """Exact PGF recurrence: base cases, hand-derived values, and invariants."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -9,7 +9,47 @@ from hypothesis import strategies as st
 
 from qsa.errors import CrossCheckError
 from qsa.fitting import known_mean
-from qsa.pgf import PgfCache, _pack, convolve, pgf, scaled_pgf
+from qsa.pgf import (
+    PgfCache,
+    _byte_width,
+    _pack,
+    _reduced_row,
+    _step_width,
+    _unpack,
+    _widen,
+    convolve,
+    pgf,
+    scaled_pgf,
+)
+
+
+def _factorial_width_rows(n_max):
+    """Rows 0..n_max by the step that packs every row at n!'s width."""
+    rows = [(0, (1,)), (0, (1,))]
+    for n in range(2, n_max + 1):
+        offs = [off for off, _ in rows]
+        lens = [len(c) for _, c in rows]
+        pair_off = [offs[k - 1] + offs[n - k] for k in range(1, n + 1)]
+        base = min(pair_off)
+        span = (
+            max(
+                pair_off[k - 1] + lens[k - 1] + lens[n - k] - 1
+                for k in range(1, n + 1)
+            )
+            - base
+        )
+        width = (factorial(n).bit_length() + 9) // 8
+        packed = [_pack(c, width) for _, c in rows]
+        acc = 0
+        for k in range(1, (n + 1) // 2 + 1):
+            w = comb(n - 1, k - 1) * (1 if 2 * k == n + 1 else 2)
+            prod = packed[k - 1] * packed[n - k]
+            acc += w * (prod << ((pair_off[k - 1] - base) * width * 8))
+        unpacked = _unpack(acc, span, width)
+        while unpacked and unpacked[-1] == 0:
+            unpacked.pop()
+        rows.append((base + n - 1, tuple(unpacked)))
+    return rows
 
 
 class TestBaseCases:
@@ -117,10 +157,55 @@ class TestInvariants:
         for n in range(61):
             assert grown.scaled(n) == direct.scaled(n), n
 
+    def test_corrupted_row_too_wide_for_its_slot_raises_cross_check_error(self):
+        # a coefficient far above the row's mass would not fit its slot
+        cache = PgfCache()
+        cache.scaled(6)
+        offset, coeffs = cache._rows[3]
+        cache._rows[3] = (offset, (coeffs[0] + 2**300,) + coeffs[1:])
+        with pytest.raises(CrossCheckError):
+            cache.scaled(7)
+
+    def test_corrupted_row_with_negative_coefficient_raises_cross_check_error(self):
+        # the mass still sums to 3!, but -1 has no unsigned slot
+        cache = PgfCache()
+        cache.scaled(6)
+        offset, coeffs = cache._rows[3]
+        cache._rows[3] = (offset, (coeffs[0] + 1, -1) + coeffs[1:])
+        with pytest.raises(CrossCheckError):
+            cache.scaled(7)
+
     def test_coefficient_wider_than_its_slot_raises(self):
         # a slot of one byte cannot hold 256, which would spill into the next
         with pytest.raises(OverflowError):
             _pack((1, 256, 1), 1)
+
+    def test_narrow_slots_match_factorial_width_step(self):
+        # the reference packs every row at n!'s width; rows must be equal,
+        # built at once and grown in stages
+        ref = _factorial_width_rows(70)
+        direct, grown = PgfCache(), PgfCache()
+        direct.scaled(70)
+        for n in (20, 45, 70):
+            grown.scaled(n)
+        for n in range(71):
+            assert direct.scaled(n) == ref[n], n
+            assert grown.scaled(n) == ref[n], n
+
+    def test_no_pair_wider_than_its_step(self):
+        _, coeffs = zip(*(scaled_pgf(m) for m in range(70)))
+        masses = [_reduced_row(m, c)[1] for m, c in enumerate(coeffs)]
+        for n in range(2, 71):
+            for k in range(1, n + 1):
+                pair = _byte_width(masses[k - 1] * masses[n - k])
+                assert pair <= _step_width(n), (n, k)
+
+    def test_shared_power_of_two_ignores_zero_coefficients(self):
+        # G_3 = 2t^2 + 4t^3 with a zero coefficient put between: e = 1
+        shift, mass, width, packed = _reduced_row(3, (2, 0, 4))
+        assert (shift, mass, width) == (1, 3, 1)
+        assert _unpack(packed, 3, width) == [1, 0, 2]
+        assert _reduced_row(50, scaled_pgf(50)[1])[0] == 25
 
     def test_cached_coefficients_are_immutable(self):
         with pytest.raises(AttributeError):
@@ -131,6 +216,33 @@ class TestInvariants:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             pgf(-1)
+
+
+class TestWiden:
+    def test_same_width_is_unchanged(self):
+        value = _pack((5, 0, 255), 1)
+        assert _widen(value, 3, 1, 1) is value
+
+    def test_few_slots_copy_per_slot(self):
+        # 2 slots of 3 bytes: one copy per slot
+        coeffs = [0xABCDEF, 0x010203]
+        wide = _widen(_pack(coeffs, 3), 2, 3, 5)
+        assert _unpack(wide, 2, 5) == coeffs
+
+    def test_many_slots_copy_per_byte_column(self):
+        # 40 slots of 2 bytes: one copy per byte column
+        coeffs = [(37 * i + 11) % 65536 for i in range(40)]
+        coeffs[-1] = 0xFFFF
+        wide = _widen(_pack(coeffs, 2), 40, 2, 7)
+        assert _unpack(wide, 40, 7) == coeffs
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**24 - 1), min_size=1, max_size=9),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_widening_round_trips(self, coeffs, extra):
+        wide = _widen(_pack(coeffs, 3), len(coeffs), 3, 3 + extra)
+        assert _unpack(wide, len(coeffs), 3 + extra) == coeffs
 
 
 small_tables = st.dictionaries(
