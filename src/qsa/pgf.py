@@ -105,20 +105,15 @@ def _step_width(n: int) -> int:
 def _widen(value: int, count: int, u: int, v: int) -> int:
     """``count`` slots of ``u`` bytes moved into slots of ``v >= u`` bytes.
 
-    Every copy is one C-level slice assignment: one per slot when there are
-    no more slots than bytes in a slot, otherwise one per byte column (the
-    j-th byte of every slot at once).
+    One C-level slice assignment per byte column: the j-th byte of every
+    slot at once.
     """
     if u == v:
         return value
     raw = value.to_bytes(count * u, "little")
     out = bytearray(count * v)
-    if count <= u:
-        for i in range(count):
-            out[i * v : i * v + u] = raw[i * u : (i + 1) * u]
-    else:
-        for j in range(u):
-            out[j::v] = raw[j::u]
+    for j in range(u):
+        out[j::v] = raw[j::u]
     return int.from_bytes(out, "little")
 
 

@@ -181,16 +181,12 @@ class TestInvariants:
             _pack((1, 256, 1), 1)
 
     def test_narrow_slots_match_factorial_width_step(self):
-        # the reference packs every row at n!'s width; rows must be equal,
-        # built at once and grown in stages
+        # the reference packs every row at n!'s width; rows must be equal
         ref = _factorial_width_rows(70)
-        direct, grown = PgfCache(), PgfCache()
-        direct.scaled(70)
-        for n in (20, 45, 70):
-            grown.scaled(n)
+        cache = PgfCache()
+        cache.scaled(70)
         for n in range(71):
-            assert direct.scaled(n) == ref[n], n
-            assert grown.scaled(n) == ref[n], n
+            assert cache.scaled(n) == ref[n], n
 
     def test_no_pair_wider_than_its_step(self):
         _, coeffs = zip(*(scaled_pgf(m) for m in range(70)))
@@ -223,18 +219,18 @@ class TestWiden:
         value = _pack((5, 0, 255), 1)
         assert _widen(value, 3, 1, 1) is value
 
-    def test_few_slots_copy_per_slot(self):
-        # 2 slots of 3 bytes: one copy per slot
-        coeffs = [0xABCDEF, 0x010203]
-        wide = _widen(_pack(coeffs, 3), 2, 3, 5)
-        assert _unpack(wide, 2, 5) == coeffs
-
-    def test_many_slots_copy_per_byte_column(self):
-        # 40 slots of 2 bytes: one copy per byte column
-        coeffs = [(37 * i + 11) % 65536 for i in range(40)]
-        coeffs[-1] = 0xFFFF
-        wide = _widen(_pack(coeffs, 2), 40, 2, 7)
-        assert _unpack(wide, 40, 7) == coeffs
+    @pytest.mark.parametrize(
+        "coeffs, u, v",
+        [
+            # fewer slots than bytes in a slot
+            ([0xABCDEF, 0x010203], 3, 5),
+            # more slots than bytes in a slot
+            ([(37 * i + 11) % 65536 for i in range(39)] + [0xFFFF], 2, 7),
+        ],
+    )
+    def test_widening_keeps_each_slot(self, coeffs, u, v):
+        wide = _widen(_pack(coeffs, u), len(coeffs), u, v)
+        assert _unpack(wide, len(coeffs), v) == coeffs
 
     @given(
         st.lists(st.integers(min_value=0, max_value=2**24 - 1), min_size=1, max_size=9),
