@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
+from ._ranges import integer
 from .errors import StabilityError
 from .fitting import HarmonicExpr, evaluate_asymptotic, known_mean, known_central_moment
 from .numeric import check_precision
@@ -89,9 +90,7 @@ def scaled_moment_limit(
     :class:`StabilityError` instead of silently returning a drifting number.
     Odd-order limits keep their sign.
     """
-    if r < 2:
-        raise ValueError("scaled moments are defined for r >= 2")
-    check_precision(precision)
+    r, precision = integer(r, "r", 2), check_precision(precision)
     with mp.workdps(precision + 15):
         tops_r = HarmonicExpr(expr_r.top_terms())
         tops_2 = HarmonicExpr(expr_2.top_terms())
@@ -123,7 +122,7 @@ def leading_coefficient(expr: HarmonicExpr, precision: int = 50) -> mpf:
     beyond :data:`LEAD_STABILITY` digits; instability is raised, not
     returned.
     """
-    check_precision(precision)
+    precision = check_precision(precision)
     if expr.is_zero():
         raise ValueError("leading coefficient of the zero expression")
     with mp.workdps(precision + 15):
@@ -139,20 +138,16 @@ def leading_coefficient(expr: HarmonicExpr, precision: int = 50) -> mpf:
 
 
 def mean_over_nlogn(n: int, precision: int = 50) -> mpf:
-    """Diagnostic ratio c_n/(n ln n); approaches 2 like O(1/ln n)."""
-    if n < 2:
-        raise ValueError(f"c_n/(n ln n) needs n >= 2 (ln 1 = 0), got {n!r}")
-    check_precision(precision)
+    """Diagnostic ratio c_n/(n ln n) for n >= 2 (ln 1 = 0); approaches 2 like O(1/ln n)."""
+    n, precision = integer(n, "n", 2), check_precision(precision)
     with mp.workdps(precision + 10):
         cn = evaluate_asymptotic(known_mean(), n, precision)
         return +(cn / (mpf(n) * mp.log(n)))
 
 
 def coefficient_of_variation(n: int, precision: int = 50) -> mpf:
-    """sqrt(m_2(n))/c_n; small and shrinking like O(1/ln n), and 0 at n = 2."""
-    if n < 2:
-        raise ValueError(f"sqrt(m_2(n))/c_n needs n >= 2 (c_1 = 0), got {n!r}")
-    check_precision(precision)
+    """sqrt(m_2(n))/c_n for n >= 2 (c_1 = 0); shrinks like O(1/ln n), and is 0 at n = 2."""
+    n, precision = integer(n, "n", 2), check_precision(precision)
     with mp.workdps(precision + 10):
         cn = evaluate_asymptotic(known_mean(), n, precision)
         var = evaluate_asymptotic(known_central_moment(2), n, precision)
@@ -167,7 +162,7 @@ def mean_asymptotic_check(precision: int = 50) -> mpf:
     checked to approach 2 n ln n numerically: at n = 10^8 the ratio
     (c_n - (2 gamma - 4) n)/(n ln n) must be within 1e-5 of 2.
     """
-    check_precision(precision)
+    precision = check_precision(precision)
     with mp.workdps(precision + 10):
         n = 10**8
         cn = evaluate_asymptotic(known_mean(), n, precision)

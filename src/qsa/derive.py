@@ -116,9 +116,7 @@ def _integrate(a: Mapping) -> dict:
 
 def moment_gf(s: int) -> Mapping[tuple[int, int], Fraction]:
     """phi_s = sum_n E[C(X_n, s)] z^n as a read-only ring element {(k, j): c}."""
-    s = integer(s, "s")  # in front of the cache, where 2.0 would find 2
-    if s < 0:
-        raise ValueError(f"order must be >= 0, got {s}")
+    s = integer(s, "s", 0)  # in front of the cache, where 2.0 would find 2
     return MappingProxyType(_phi(s))
 
 
@@ -317,9 +315,7 @@ def derived_moment(r: int) -> HarmonicExpr:
     the exact-PGF moments for n = 1..``CROSS_CHECK_UPTO``.  A disagreement
     raises :class:`CrossCheckError`.
     """
-    r = integer(r, "r")  # in front of the cache, where 2.0 would find 2
-    if r < 1:
-        raise ValueError(f"moment order must be >= 1, got {r}")
+    r = integer(r, "r", 1)  # in front of the cache, where 2.0 would find 2
     return _derived_moment(r)
 
 

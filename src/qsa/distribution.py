@@ -101,8 +101,7 @@ def scale(n: int, precision: int = 50) -> ScaledDistribution:
     n = integer(n, "n")  # in front of the cache, where 5.0 would find 5
     if n < 3:
         raise ValueError("scaling requires n >= 3 (zero variance below)")
-    check_precision(precision)
-    return _scale(n, precision)
+    return _scale(n, check_precision(precision))
 
 
 @cache
@@ -155,9 +154,10 @@ def tail_probability(
     both flagged ``saturated``.  When the surrogate equals the target the
     answer is the exact tail sum.
     """
+    n_large = integer(n_large, "n_large")
     if n_large < 3:
         raise ValueError("tail queries require n_large >= 3 (zero variance below)")
-    check_precision(precision)
+    precision = check_precision(precision)
     threshold = Fraction(threshold)
     sur = scale(surrogate_n, precision)
     mean_t = evaluate_asymptotic(known_mean(), n_large, precision)
@@ -165,7 +165,7 @@ def tail_probability(
     with mp.workdps(precision + 10):
         sigma_t = mp.sqrt(var_t)
         z_cut = (mpf(threshold.numerator) / mpf(threshold.denominator) - mean_t) / sigma_t
-        if n_large == surrogate_n:
+        if n_large == sur.n:
             # no rescaling: work in exact comparison-count space
             k_cut = threshold
         else:
@@ -199,6 +199,7 @@ def export_density(
     Bins start at the lowest atom; the final bin absorbs the top edge.
     Masses are exact Fractions and sum to exactly 1.
     """
+    precision = check_precision(precision)
     dist = scale(n, precision)
     with mp.workdps(precision + 10):
         width = mpf(str(bin_width)) if not isinstance(bin_width, Fraction) else mpf(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import isqrt, lcm
-from operator import index, mul
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._ranges import integer
@@ -84,12 +84,9 @@ class Monomial:
     h_powers: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.n_power < 0:
-            raise ValueError("n_power must be non-negative")
-        pairs = tuple(sorted((int(m), int(e)) for m, e in self.h_powers if e))
-        if any(m < 1 or e < 0 for m, e in pairs):
-            raise ValueError("harmonic powers need m >= 1 and e >= 0")
-        object.__setattr__(self, "h_powers", pairs)
+        pairs = ((integer(m, "m", 1), integer(e, "e", 0)) for m, e in self.h_powers)
+        object.__setattr__(self, "n_power", integer(self.n_power, "n_power", 0))
+        object.__setattr__(self, "h_powers", tuple(sorted(p for p in pairs if p[1])))
 
     @property
     def weight(self) -> int:
@@ -244,10 +241,8 @@ class HarmonicExpr:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are defined")
         result = HarmonicExpr.constant(1)
-        for _ in range(exponent):
+        for _ in range(integer(exponent, "exponent", 0)):
             result = result * self
         return result
 
@@ -278,8 +273,7 @@ class HarmonicExpr:
 
     def evaluate(self, n: int) -> Fraction:
         """Exact value at integer n >= 1: the integer of ``_scaled`` over D * L^w."""
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError("harmonic expressions are evaluated at integer n >= 1")
+        n = integer(n, "n", 1)
         ell = lcm(*range(n // 2 + 1, n + 1))  # = lcm(1..n): k <= n/2 divides one of them
         powers = list(accumulate(repeat(ell, self._top), mul, initial=1))
         return Fraction(self._scaled(n, powers), self._den * powers[-1])
@@ -330,14 +324,18 @@ class HarmonicExpr:
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping]) -> "HarmonicExpr":
+        """The expression ``to_json`` wrote; a malformed term raises a ``ValueError`` naming it."""
         terms = {}
         for item in data:
-            mono = Monomial(
-                int(item["n_pow"]),
-                tuple((int(m), int(e)) for m, e in item["h_pows"]),
-            )
-            coeff = Fraction(int(item["coeff"]["num"]), int(item["coeff"]["den"]))
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            try:
+                mono = Monomial(item["n_pow"], item["h_pows"])
+                # decimal strings, as to_json writes them; str() keeps 1.5 from truncating to 1
+                num, den = (int(str(item["coeff"][k])) for k in ("num", "den"))
+                if not den:
+                    raise ValueError("the denominator is 0")
+            except ValueError as exc:
+                raise ValueError(f"term {item!r}: {exc}") from None
+            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(num, den)
         return cls(terms)
 
 
@@ -361,7 +359,7 @@ def evaluate_asymptotic(expr: HarmonicExpr, n: int, precision: int = 50) -> mpf:
     """
     from mpmath import mp, mpf  # here, so that exact fits never load mpmath
 
-    check_precision(precision)
+    n, precision = integer(n, "n", 1), check_precision(precision)
     if n <= _PREFIX_LIMIT:
         exact = expr.evaluate(n)
         with mp.workdps(precision + 10):
@@ -394,8 +392,9 @@ def _h_vectors(m: int, max_m: int, budget: int):
 def template(r: int, n_degree_bound: int, h_weight_bound: int) -> list[Monomial]:
     """All monomials n^a * prod H_m^(b_m) with a <= n_degree_bound,
     sum(m*b_m) <= h_weight_bound, and m <= r, in canonical order."""
-    if r < 0 or n_degree_bound < 0 or h_weight_bound < 0:
-        raise ValueError("template bounds must be non-negative")
+    r = integer(r, "r", 0)
+    n_degree_bound = integer(n_degree_bound, "n_degree_bound", 0)
+    h_weight_bound = integer(h_weight_bound, "h_weight_bound", 0)
     monos = [
         Monomial(a, h)
         for a in range(n_degree_bound + 1)
@@ -434,8 +433,8 @@ class FitReport:
 def _window(window: tuple[int, int]) -> tuple[int, int]:
     """The inclusive interval lo..hi of n, checked to hold integers 1 <= lo <= hi."""
     try:
-        lo, hi = map(index, window)
-    except TypeError:
+        lo, hi = (integer(end, "window") for end in window)
+    except (TypeError, ValueError):
         raise ValueError(f"a fit window holds two integers (lo, hi): {window}") from None
     if not 1 <= lo <= hi:
         raise ValueError(f"a fit window is an interval (lo, hi), 1 <= lo <= hi: {window}")
@@ -754,6 +753,7 @@ def check_fit_order(r: int) -> None:
     ``guess_moment`` and the ``limits`` command serve the same orders, and
     both refuse a higher one before any data is built or any form derived.
     """
+    r = integer(r, "r")
     if r > MAX_FIT_ORDER:
         raise ValueError(
             f"moment order {r} exceeds MAX_FIT_ORDER = {MAX_FIT_ORDER}: fitting "
@@ -782,9 +782,7 @@ def guess_moment(
     data through the end of the last template's windows.  Orders above
     :data:`MAX_FIT_ORDER` are rejected before any data is built.
     """
-    r = integer(r, "r")
-    if r < 1:
-        raise ValueError("moment order must be >= 1")
+    r = integer(r, "r", 1)
     check_fit_order(r)
     if (train is None) != (test is None):
         raise ValueError("train and test windows must be given together")
@@ -832,6 +830,7 @@ def known_central_moment(r: int) -> HarmonicExpr:
     These transcriptions are kept independent of the fitting machinery so
     that fitted output can be compared against them term by term.
     """
+    r = integer(r, "r")
     if r not in _KNOWN_BUILDERS:
         raise ValueError(f"no tabulated closed form for order {r}")
     return _KNOWN_BUILDERS[r]()

@@ -126,8 +126,6 @@ class SeriesCache:
     """
 
     def __init__(self, order: int = DEFAULT_ORDER):
-        if order < 0:
-            raise ValueError("order must be >= 0")
         # per order s (see raise_order): G_n[s] for n = 0, 1, ..., no longer
         # than column s - 1; its pre-binomial pivot sums; P_n[s] of its last n
         self._cols, self._accs, self._p = [], [], []
@@ -203,6 +201,7 @@ class SeriesCache:
 
     def ensure(self, n: int) -> None:
         """Bring rows 0..n to the current order, one column after another."""
+        n = integer(n, "n", 0)
         with self._lock:
             # rows below the length of the top column hold every order
             if len(self._cols[self.order]) > n:
@@ -217,6 +216,7 @@ class SeriesCache:
 
     def raise_order(self, order: int) -> None:
         """Raise the order to at least ``order``; ``ensure`` fills rows in."""
+        order = integer(order, "order", 0)
         with self._lock:
             for _ in range(self.order, order):
                 self._cols.append([])
@@ -225,8 +225,7 @@ class SeriesCache:
             self.order = max(self.order, order)
 
     def row(self, n: int) -> tuple:
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = integer(n, "n", 0)
         with self._lock:
             self.ensure(n)
             return tuple(col[n] for col in self._cols)
@@ -241,13 +240,13 @@ def series_cache(order: int = DEFAULT_ORDER) -> SeriesCache:
     Every order is served by the same object; the table holds only the
     orders asked of it so far.
     """
-    _shared_series.raise_order(integer(order, "order"))
+    _shared_series.raise_order(order)
     return _shared_series
 
 
 def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
     """Truncated expansions of g_n(1+w) for n = 0..n_max."""
-    n_max = integer(n_max, "n_max")
+    n_max, order = integer(n_max, "n_max", 0), integer(order, "order", 0)
     cache = series_cache(order)
     cache.ensure(n_max)  # one build for every row
     out = []
@@ -261,13 +260,11 @@ def factorial_series(n_max: int, order: int = DEFAULT_ORDER) -> list[TruncatedSe
 def stirling2(r: int, j: int) -> int:
     """Stirling number of the second kind S(r, j)."""
     # checked in front of the cache, where (3, 1.0) would find the entry of (3, 1)
-    return _stirling2(integer(r, "r"), integer(j, "j"))
+    return _stirling2(integer(r, "r", 0), integer(j, "j", 0))
 
 
 @cache
 def _stirling2(r: int, j: int) -> int:
-    if r < 0 or j < 0:
-        raise ValueError("indices must be non-negative")
     if r == j:
         return 1
     if j == 0 or j > r:
@@ -280,12 +277,7 @@ def moments_from_factorial(series: TruncatedSeries, r: int) -> Fraction:
 
     ``f_j = j! * coeffs[j]`` and ``E[X^r] = sum_j S(r, j) f_j``.
     """
-    if r < 0:
-        raise ValueError("moment order must be non-negative")
-    if r > series.order:
-        raise ValueError(
-            f"moment order {r} exceeds series truncation order {series.order}"
-        )
+    r = integer(r, "r", 0, series.order)  # the series holds orders 0..series.order
     return Fraction(_stirling_transform(series.coeffs, r))
 
 
@@ -302,13 +294,11 @@ def _stirling_transform(coeffs, r: int):
 def raw_moment(n: int, r: int, /) -> Fraction:
     """Exact E[X_n^r] by direct summation over the PGF coefficients."""
     # checked in front of the cache, where 5.0 would find the entry of 5
-    return _raw_moment(integer(n, "n"), integer(r, "r"))
+    return _raw_moment(integer(n, "n", 0), integer(r, "r", 0))
 
 
 @cache
 def _raw_moment(n: int, r: int, /) -> Fraction:
-    if n < 0 or r < 0:
-        raise ValueError("arguments must be non-negative")
     offset, coeffs = scaled_pgf(n)
     total = sum(c * (offset + i) ** r for i, c in enumerate(coeffs))
     return Fraction(total, factorial(n))
@@ -316,9 +306,7 @@ def _raw_moment(n: int, r: int, /) -> Fraction:
 
 def central_moment(n: int, r: int) -> Fraction:
     """Exact E[(X_n - c_n)^r] via the binomial expansion over raw moments."""
-    r = integer(r, "r")
-    if r < 1:
-        raise ValueError("central moment order must be >= 1")
+    n, r = integer(n, "n", 0), integer(r, "r", 1)
     mean = raw_moment(n, 1)
     return sum(
         (
@@ -347,9 +335,7 @@ def moment_table(n_max: int, r: int, kind: str = "central") -> MomentTable:
     """
     if kind not in ("raw", "central"):
         raise ValueError(f"unknown moment kind {kind!r}")
-    n_max, r = integer(n_max, "n_max"), integer(r, "r")
-    if r < 0 or (kind == "central" and r < 1):
-        raise ValueError("invalid moment order")
+    n_max, r = integer(n_max, "n_max", 0), integer(r, "r", 1 if kind == "central" else 0)
     cache = series_cache(r)
     cache.ensure(n_max)  # one build for every row
     values: dict[int, Fraction] = {}

@@ -15,10 +15,9 @@ precision uses is decided in one place, ``qsa.fitting.evaluate_asymptotic``.
 The constants gamma and zeta(m) that appear in the large-``n`` behaviour of
 the comparison-count moments are mpmath's (``mp.euler``, ``mp.zeta``), taken
 by each evaluation at its own working precision; the test suite re-derives
-them by independent series.  The module also owns the precision policy: the
-one range every evaluation and the command line accept,
-``PRECISION_RANGE``, defined in ``qsa._ranges``, which loads no layer, and
-re-exported here.
+them by independent series.  ``PRECISION_RANGE``, the one precision range
+every evaluation and the command line accept, is defined in ``qsa._ranges``
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -50,13 +49,6 @@ _prefix: dict[int, list[Fraction]] = {}
 _cache_lock = threading.Lock()
 
 
-def _check_harmonic_args(m: int, n: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"harmonic exponent m must be a positive integer, got {m!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"harmonic argument n must be a non-negative integer, got {n!r}")
-
-
 def _sum_inv_pow(m: int, lo: int, hi: int):
     """Reduced (num, den) of sum_{i=lo}^{hi} 1/i^m by binary splitting."""
     if hi - lo < 16:
@@ -85,7 +77,7 @@ def harmonic(m: int, n: int) -> Fraction:
     tables are shared and may be used from several threads: a lock
     serialises their growth.
     """
-    _check_harmonic_args(m, n)
+    m, n = integer(m, "m", 1), integer(n, "n", 0)
     if n == 0:
         return Fraction(0)
     if n <= _PREFIX_LIMIT:
@@ -112,13 +104,11 @@ def _harmonic_large(m: int, n: int) -> Fraction:
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2)."""
     # checked in front of the cache, where 4.0 would find the entry of 4
-    return _bernoulli(integer(k, "k"))
+    return _bernoulli(integer(k, "k", 0))
 
 
 @cache
 def _bernoulli(k: int) -> Fraction:
-    if k < 0:
-        raise ValueError("Bernoulli index must be non-negative")
     if k == 0:
         return Fraction(1)
     if k > 2 and k % 2 == 1:
@@ -152,11 +142,7 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
     """
     from mpmath import mp, mpf  # here, so that exact work never loads mpmath
 
-    _check_harmonic_args(m, n)
-    if n < 1:
-        raise ValueError("asymptotic expansion requires n >= 1")
-    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 1:
-        raise ValueError(f"digits must be a positive integer, got {digits!r}")
+    m, n, digits = integer(m, "m", 1), integer(n, "n", 1), integer(digits, "digits", 1)
     with mp.workdps(digits + 10):
         budget = mpf(10) ** -digits
         nn = mpf(n)
@@ -196,16 +182,14 @@ def harmonic_enclosure(m: int, n: int, digits: int) -> tuple[mpf, mpf]:
 # -----------------------------------------------------------------------
 
 
-def check_precision(precision: int) -> None:
-    """Reject a precision that is not an integer in :data:`PRECISION_RANGE`."""
+def check_precision(precision: int) -> int:
+    """``precision`` as an int, refused unless it lies in :data:`PRECISION_RANGE`."""
     lo, hi = PRECISION_RANGE
-    if (
-        not isinstance(precision, int)
-        or isinstance(precision, bool)
-        or not lo <= precision <= hi
-    ):
+    try:
+        return integer(precision, "precision", lo, hi)
+    except ValueError:
         raise ValueError(
             f"precision must be an integer in PRECISION_RANGE = [{lo}, {hi}], "
             f"got {precision!r}"
-        )
+        ) from None
 

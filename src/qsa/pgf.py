@@ -203,9 +203,7 @@ class PgfCache:
 
     def scaled(self, n: int) -> tuple[int, tuple[int, ...]]:
         """Offset and integer coefficients of n! * g_n (the stored tuple)."""
-        n = integer(n, "n")
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = integer(n, "n", 0)
         with self._lock:
             reduced: list[tuple[int, int, int, int]] = []
             while len(self._rows) <= n:
@@ -213,6 +211,7 @@ class PgfCache:
         return self._rows[n]
 
     def get(self, n: int) -> DistPoly:
+        n = integer(n, "n", 0)
         offset, coeffs = self.scaled(n)
         nf = factorial(n)
         return DistPoly(

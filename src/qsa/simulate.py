@@ -46,17 +46,19 @@ class SimConfig:
 
     def __post_init__(self):
         try:
-            integer(self.n, "n"), integer(self.trials, "trials")
+            n, trials = integer(self.n, "n"), integer(self.trials, "trials")
         except ValueError:
             raise ValueError(
                 f"n and trials must be integers, got n={self.n!r}, trials={self.trials!r}"
             ) from None
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be non-negative")
-        if self.n > MAX_SIM_N:
-            raise ValueError(f"simulations are limited to n <= {MAX_SIM_N}, got {self.n}")
-        if self.trials < 1:
+        if n > MAX_SIM_N:
+            raise ValueError(f"simulations are limited to n <= {MAX_SIM_N}, got {n}")
+        if trials < 1:
             raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "trials", trials)
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,7 @@ def exhaustive_distribution(n: int) -> dict[int, Fraction]:
     so arguments above 12 are rejected; n = 12 already takes on the order
     of a minute.
     """
-    n = integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = integer(n, "n", 0)
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive enumeration is limited to n <= {EXHAUSTIVE_LIMIT}"

@@ -114,6 +114,26 @@ class TestHarmonicExpr:
         expr = known_central_moment(4)
         assert HarmonicExpr.from_json(expr.to_json()) == expr
 
+    @pytest.mark.parametrize(
+        "coeff,match",
+        [({"num": "3", "den": "0"}, "the denominator is 0"), ({"num": 1.5, "den": "2"}, "1.5")],
+        ids=["zero-den", "float-num"],
+    )
+    def test_json_bad_coefficient_names_the_term(self, coeff, match):
+        term = {"n_pow": 1, "h_pows": [[1, 1]], "coeff": coeff}
+        with pytest.raises(ValueError, match=rf"term {{'n_pow': 1, .*: .*{match}"):
+            HarmonicExpr.from_json([term])
+
+    @pytest.mark.parametrize(
+        "n_pow,h_pows,name",
+        [(1.5, [], "n_power"), (0, [[2.0, 1]], "m"), (0, [[2, 0.5]], "e")],
+        ids=["n_pow", "order", "exponent"],
+    )
+    def test_json_non_integral_powers_are_refused(self, n_pow, h_pows, name):
+        term = {"n_pow": n_pow, "h_pows": h_pows, "coeff": {"num": "1", "den": "1"}}
+        with pytest.raises(ValueError, match=rf"term .*: {name} must be an integer"):
+            HarmonicExpr.from_json([term])
+
     def test_canonical_term_order_is_lexicographic(self):
         expr = known_central_moment(2)
         keys = [m.sort_key(2) for m, _ in expr.canonical_terms()]
@@ -459,10 +479,15 @@ class TestGuessMoment:
         assert (report.train_range, report.test_range) == ((1, 20), (21, 60))
         assert report.expr == known_mean()
 
-    def test_non_integral_windows_rejected_before_any_data(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "train,test",
+        [((1.5, 9.7), (10, 306.2)), ((True, 12), (13, 40))],
+        ids=["float", "bool"],
+    )
+    def test_non_integral_windows_rejected_before_any_data(self, monkeypatch, train, test):
         monkeypatch.setattr("qsa.fitting.moment_table", lambda *a, **k: pytest.fail("built"))
         with pytest.raises(ValueError, match="two integers"):
-            guess_moment(1, train=(1.5, 9.7), test=(10, 306.2))
+            guess_moment(1, train=train, test=test)
 
     def test_fixed_windows_come_together(self):
         with pytest.raises(ValueError):

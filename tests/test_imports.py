@@ -4,6 +4,7 @@ Each footprint check runs in a fresh interpreter, because this test session
 has long since imported every layer.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -141,3 +142,11 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from qsa import *", namespace)
     assert all(namespace[name] is getattr(qsa, name) for name in qsa.__all__)
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "qsa").glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements_in_the_package(path):
+    # invariants raise typed QsaErrors; python -O would strip an assert
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"assert statements in {path.name} at lines {lines}"

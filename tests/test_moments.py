@@ -15,9 +15,19 @@ import pytest
 import qsa
 import qsa.moments
 import qsa.numeric
+from qsa.asymptotics import scaled_moment_limit
 from qsa.distribution import scale, tail_probability
 from qsa.errors import CrossCheckError
-from qsa.fitting import guess_moment, known_central_moment, known_mean
+from qsa.fitting import (
+    HarmonicExpr,
+    Monomial,
+    check_fit_order,
+    evaluate_asymptotic,
+    guess_moment,
+    known_central_moment,
+    known_mean,
+    template,
+)
 from qsa.moments import (
     SeriesCache,
     _convolve,
@@ -29,7 +39,7 @@ from qsa.moments import (
     series_cache,
     stirling2,
 )
-from qsa.numeric import bernoulli, harmonic
+from qsa.numeric import bernoulli, harmonic, harmonic_enclosure
 from qsa.pgf import PgfCache, pgf, scaled_pgf
 from qsa.simulate import SimConfig, exhaustive_distribution
 
@@ -406,6 +416,11 @@ class TestSharedTablesAcrossThreads:
         pytest.param(lambda: guess_moment(2.5), id="guess_moment"),
         # with raw_moment(5, 2) cached, 5.0 hashes to its entry
         pytest.param(lambda: (raw_moment(5, 2), raw_moment(5.0, 2)), id="raw_moment-warm"),
+        pytest.param(lambda: harmonic(1, 5.0), id="harmonic"),
+        pytest.param(lambda: SeriesCache(order=2).row(3.0), id="SeriesCache-row"),
+        pytest.param(lambda: evaluate_asymptotic(known_mean(), 10.0), id="evaluate_asymptotic"),
+        # above n = 4000, where harmonic_enclosure once named its own argument
+        pytest.param(lambda: tail_probability(10000.0, 10**5, 5), id="tail_probability-n_large"),
     ],
 )
 def test_non_integral_sizes_rejected_at_entry(call):
@@ -431,6 +446,22 @@ def test_non_integral_sizes_rejected_at_entry(call):
             lambda: (scale(5), tail_probability(40, 150, surrogate_n=5.0)),
             id="tail_probability-warm",
         ),
+        pytest.param(lambda: (harmonic(2, 5), harmonic(2.0, 5)), id="harmonic-m-warm"),
+        pytest.param(lambda: harmonic_enclosure(1, 10**4, 40.0), id="harmonic_enclosure-digits"),
+        pytest.param(lambda: Monomial(1.5), id="Monomial"),
+        pytest.param(lambda: Monomial(0, ((2, 0.5),)), id="Monomial-exponent"),
+        pytest.param(lambda: HarmonicExpr.variable() ** 2.0, id="HarmonicExpr-pow"),
+        pytest.param(lambda: template(1.5, 1, 1), id="template"),
+        pytest.param(lambda: check_fit_order(2.5), id="check_fit_order"),
+        pytest.param(lambda: SeriesCache(order=2.5), id="SeriesCache"),
+        pytest.param(
+            lambda: moments_from_factorial(factorial_series(3)[3], 1.5),
+            id="moments_from_factorial",
+        ),
+        pytest.param(
+            lambda: scaled_moment_limit(3.0, known_central_moment(3), known_central_moment(2)),
+            id="scaled_moment_limit",
+        ),
     ],
 )
 def test_non_integral_arguments_rejected_in_front_of_caches(call):
@@ -449,9 +480,70 @@ def test_non_integral_arguments_rejected_in_front_of_caches(call):
         pytest.param(lambda: exhaustive_distribution(True), id="exhaustive_distribution"),
         pytest.param(lambda: SimConfig(n=True, trials=3, seed=0), id="SimConfig"),
         pytest.param(lambda: moment_table(True, 2), id="moment_table"),
+        pytest.param(lambda: harmonic(True, 5), id="harmonic"),
+        pytest.param(lambda: harmonic_enclosure(1, 10**4, True), id="harmonic_enclosure-digits"),
+        pytest.param(lambda: Monomial(True), id="Monomial"),
+        pytest.param(lambda: HarmonicExpr.variable() ** True, id="HarmonicExpr-pow"),
+        pytest.param(lambda: template(True, 1, 1), id="template"),
+        pytest.param(lambda: check_fit_order(True), id="check_fit_order"),
+        pytest.param(lambda: SeriesCache(order=True), id="SeriesCache"),
+        pytest.param(
+            lambda: moments_from_factorial(factorial_series(3)[3], True),
+            id="moments_from_factorial",
+        ),
+        pytest.param(
+            lambda: scaled_moment_limit(True, known_mean(), known_central_moment(2)),
+            id="scaled_moment_limit",
+        ),
+        pytest.param(lambda: evaluate_asymptotic(known_mean(), True), id="evaluate_asymptotic"),
+        pytest.param(lambda: tail_probability(True, 150, 5), id="tail_probability-n_large"),
     ],
 )
 def test_bools_rejected_as_sizes(call):
     # as numeric.harmonic and HarmonicExpr.evaluate reject them
     with pytest.raises(ValueError, match=r"must be (an integer|integers), got (n=)?True"):
         call()
+
+
+class Index:
+    """An integer-like object that has ``__index__`` and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda i: harmonic(i(2), i(5)), id="harmonic"),
+        pytest.param(lambda i: harmonic_enclosure(i(1), i(10**4), i(40)), id="harmonic_enclosure"),
+        pytest.param(lambda i: known_mean().evaluate(i(7)), id="evaluate"),
+        pytest.param(lambda i: (HarmonicExpr.variable() + 1) ** i(3), id="HarmonicExpr-pow"),
+        pytest.param(lambda i: Monomial(i(2), ((i(1), i(3)),)), id="Monomial"),
+        pytest.param(lambda i: template(i(2), i(2), i(2)), id="template"),
+        pytest.param(lambda i: check_fit_order(i(3)), id="check_fit_order"),
+        pytest.param(lambda i: SeriesCache(order=i(2)).row(i(6)), id="SeriesCache"),
+        pytest.param(
+            lambda i: moments_from_factorial(factorial_series(5, 3)[5], i(2)),
+            id="moments_from_factorial",
+        ),
+        pytest.param(
+            lambda i: scaled_moment_limit(i(3), known_central_moment(3), known_central_moment(2)),
+            id="scaled_moment_limit",
+        ),
+        pytest.param(
+            lambda i: evaluate_asymptotic(known_mean(), i(5000), i(30)), id="evaluate_asymptotic"
+        ),
+        pytest.param(
+            lambda i: tail_probability(i(40), 150, surrogate_n=i(20), precision=i(30)),
+            id="tail_probability",
+        ),
+        pytest.param(lambda i: pgf(i(6)), id="pgf"),
+        pytest.param(lambda i: SimConfig(n=i(5), trials=i(3), seed=0), id="SimConfig"),
+    ],
+)
+def test_index_objects_accepted_like_ints(call):
+    assert call(Index) == call(int)
